@@ -14,7 +14,6 @@ permutation sum) are exposed as numerical tests.
 
 from __future__ import annotations
 
-import cmath
 import math
 from itertools import combinations, permutations, product
 
@@ -200,34 +199,7 @@ def eval_F_pfaffian_limit(y, w, params: ModelParams):
         return 0.0 + 0.0j
     if m > 0 and y[-1] <= n - m + 1:
         raise ValueError("Pfaffian limit needs y_M > N - M + 1")
-    alpha = params.alpha
-    odd = (n + m) % 2 == 1
-    dim = n + m + (1 if odd else 0)
-    mat = [[0.0] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                mat[i][j] = (w[i] - w[j]) / (1.0 - w[i] * w[j])
-    col = n
-    if odd:
-        for i in range(n):
-            mat[i][col] = 1.0
-            mat[col][i] = -1.0
-        col += 1
-    for k in range(m):
-        g = [
-            (1.0 - alpha + alpha * w[i]) * w[i] ** (n - k) / (1.0 - w[i]) ** y[k]
-            for i in range(n)
-        ]
-        for i in range(n):
-            mat[i][col + k] = g[i]
-            mat[col + k][i] = -g[i]
-    prefactor = 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            prefactor *= (1.0 - w[i] * w[j]) / (w[i] - w[j])
-    sign = (-1.0) ** math.comb(m, 2)
-    return sign * alpha ** (n - m) * prefactor * _pf_small(mat)
+    return complex(_grid_F_q0(y, [np.array([v]) for v in w], params).reshape(()))
 
 
 def bc_symmetrization_sum(w, q, m_fixed=0):

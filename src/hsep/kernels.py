@@ -1,7 +1,12 @@
 """The integral kernels of the half-line TASEP layer.
 
-Everything here is a residue evaluation of an explicit contour integral, or
-exact integer combinatorics:
+Every q = 0 kernel is a contour integral of
+
+    (w-1)^a e^(t(w-1)) w^(-b) / (w-alpha)^e,      e in {0, 1},
+
+whose contour encloses every finite pole of the integrand.  Its value is
+therefore the w^(-1) coefficient of the expansion in the annulus beyond all
+poles, one Poisson-weighted sum evaluated here for all six kernels:
 
 * ``kernel_Q``     -- the universal double-contour kernel Q_{a,b}(x,y)
 * ``kernel_p``     -- the single-contour column kernel p_i(x)
@@ -10,26 +15,22 @@ exact integer combinatorics:
                       virtual variants Xi^(i), Xi^[i)
 * ``phi_conv``, ``phi_neg``, ``phi_virtual``, ``theta`` -- the binomial
   convolution algebra with virtual coordinates
-* ``conv_reduce``  -- collapses star-convolutions of the closed family
-  {Theta-polynomials, Psi, phi} into finite combinations of Q evaluations
 
-The double integral is evaluated by iterated residues: the coupling factor
-(u-w)/(1-u-w) equals 1 + (2u-1)/(1-u-w), so the inner w-residues produce an
-explicit rational-times-entire function of u whose residues are then taken.
-A torus quadrature with unequal radii (the coupling pole stays outside the
-inner circle) provides an independent cross-check path.
+In Q the coupling factor (u-w)/(1-u-w) is expanded in powers of w, which
+turns the double integral into a sum of products of such annulus
+coefficients.  Torus quadrature with unequal radii (``kernel_Q_quadrature``,
+``kernel_p_quadrature``) and per-pole jet residues through
+``hsep.numerics.residue_at`` (``tests/residue_oracle.py``) are the
+independent cross-check paths.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .numerics import Jet, residue_at
 
 __all__ = [
     "ModelParams",
@@ -48,15 +49,7 @@ __all__ = [
     "phi_virtual",
     "theta",
     "rising",
-    "Theta",
-    "Psi",
-    "PhiPos",
-    "PhiNeg",
-    "conv_reduce",
 ]
-
-_CLUSTER_TOL = 1e-8
-_IMAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,59 +76,32 @@ class ModelParams:
             raise ValueError("Pfaffian formulas require q = 0 (TASEP)")
 
 
-def _real(value, tol=_IMAG_TOL, what="kernel value"):
-    """Drop a numerically-zero imaginary part; complain if it is not tiny."""
-    v = complex(value)
-    if abs(v.imag) > tol * max(1.0, abs(v)):
-        raise ArithmeticError(f"{what} has imaginary part {v.imag:g}")
-    return v.real
+def _series(alpha, e, m, smax):
+    """Coefficients h_s, s <= smax, in 1/w of (1 - alpha/w)^(-e) (1 - 1/w)^(-m).
 
-
-def _cluster_poles(candidates, tol=_CLUSTER_TOL):
-    """Merge (point, order) candidates lying within tol; drop zero orders.
-
-    Colliding poles (alpha = 1, alpha = 1/2, alpha = 0) become a single
-    expansion point with the order bounds added, which is always safe.
+    For m > 0 the factor (1 - 1/w)^(-m) is m running sums of the series of
+    the alpha factor; for m <= 0 it is the finite alternating binomial row.
+    Summing *all* enclosed poles through this single expansion avoids the
+    catastrophic cancellation that per-pole residues suffer when alpha < 1
+    and the site argument is large.
     """
-    merged = []
-    for p, m in candidates:
-        if m <= 0:
-            continue
-        p = complex(p)
-        for entry in merged:
-            if abs(entry[0] - p) <= tol:
-                entry[1] += m
-                break
-        else:
-            merged.append([p, m])
-    return [(p, m) for p, m in merged]
-
-
-def _jpow(z, n):
-    """z**n that is exact for n == 0 (avoids a needless window truncation)."""
-    if n == 0:
-        return 1.0
-    return z**n
-
-
-def _outer_coeffs(alpha, power_at_one, smax, with_alpha=True):
-    """Coefficients h_s of 1/((w-alpha)^e (w-1)^m) expanded for large |w|.
-
-    The factor 1/(w-c)^m contributes w^(-m) * sum_s C(m-1+s, s) c^s w^(-s);
-    h_s is the Cauchy product of the factors, the coefficient of
-    w^(-total_degree - s).  Summing *all* enclosed poles through this single
-    expansion avoids the catastrophic cancellation that per-pole residues
-    suffer when alpha < 1 and the site argument is large.
-    """
-    h = np.zeros(smax + 1)
-    h[0] = 1.0
-    if with_alpha:
-        pa = alpha ** np.arange(smax + 1)
-        h = np.convolve(h, pa)[: smax + 1]
-    if power_at_one > 0:
-        for _ in range(power_at_one):
+    if e:
+        h = alpha ** np.arange(smax + 1)
+    else:
+        h = np.zeros(smax + 1)
+        h[0] = 1.0
+    if m > 0:
+        for _ in range(m):
             h = np.cumsum(h)  # convolution with the all-ones series of 1/(w-1)
-    return h
+        return h
+    row = np.array([(-1.0) ** s * math.comb(-m, s) for s in range(-m + 1)])
+    return np.convolve(h, row)[: smax + 1]
+
+
+def _extract(h, pois, j0):
+    """sum_s h_s pois[j0 + s]; the terms with j0 + s < 0 are zero."""
+    lo = min(max(0, -j0), len(h))
+    return np.dot(h[lo:], pois[j0 + lo : j0 + len(h)])
 
 
 def _poisson_weights(t, jmax):
@@ -164,39 +130,45 @@ class KernelTable:
             self.memo["_pois"] = w
         return w
 
+    def _annulus(self, e, m, j0):
+        """sum_s h_s e^(-t) t^(j0+s) / (j0+s)!, h the series of _series(e, m).
+
+        This is the contour integral of (w-1)^(-m) e^(t(w-1)) w^(-b) /
+        (w-alpha)^e around all its poles, with j0 = b + m + e - 1.
+        """
+        h = _series(self.params.alpha, e, m, self._SMAX)
+        return complex(_extract(h, self._pois(j0 + len(h)), j0))
+
     # -- single-contour kernels ---------------------------------------------
 
     def p(self, i, x):
         """p_i(x): contour surrounds 0 (iff x > i), alpha and 1.
 
-        Evaluated as the w^(-1) coefficient of the integrand's expansion in
-        the annulus beyond all enclosed poles:
+        The integrand is w^(i-x) e^(t(w-1)) / ((w-alpha)(w-1)^i), so
         p_i(x) = sum_s h_s e^(-t) t^(x+s) / (x+s)!.
         """
         key = ("p", i, x)
         if key not in self.memo:
-            smax = self._SMAX
-            h = _outer_coeffs(self.params.alpha, i, smax)
-            pois = self._pois(x + smax)
-            s = np.arange(smax + 1)
-            self.memo[key] = complex(np.dot(h, pois[x + s]))
+            self.memo[key] = self._annulus(1, i, x)
         return self.memo[key]
 
-    def p_residue_poles(self, i, x):
-        """p_i(x) via per-pole jet residues (independent small-site path)."""
-        a, t = self.params.alpha, self.params.t
+    def u(self, k, z, n_minus_m):
+        """U_k(z): residues at the origin and (for k > N-M) at w = 1.
 
-        def f(w):
-            return (
-                _jpow(w, i - x)
-                * ((w - 1.0) * t).exp()
-                / ((w - a) * _jpow(w - 1.0, i))
-            )
+        The (w-1)^(N-M-k) factor has a pole at 1 once k exceeds N-M; the
+        contour must enclose it along with the origin — that choice is what
+        makes the summation recurrence U_{k+1}(z) = sum_{y>=z} U_k(y) hold
+        and the general-initial-data Pfaffians match the Markov oracle.
+        With the 1-pole absent and z - k + N - M + 1 <= 0 the kernel is 0.
+        """
+        key = ("U", k, z, n_minus_m)
+        if key not in self.memo:
+            m = k - n_minus_m
+            expo = z - k + n_minus_m + 1
+            self.memo[key] = self._annulus(0, m, expo + m - 1)
+        return self.memo[key]
 
-        poles = _cluster_poles([(0.0, x - i), (a, 1), (1.0, i)])
-        return sum(residue_at(f, p0, m) for p0, m in poles)
-
-    # -- the double-contour kernel (stable annulus path) ----------------------
+    # -- the double-contour kernel ------------------------------------------
 
     def _f1_annulus(self, a, x, kmax):
         """a_k = [w^(-k-1)] f1(w) for k = 0..kmax, f1 the w-side of Q_{a,b}.
@@ -206,22 +178,18 @@ class KernelTable:
         """
         key = ("f1ann", a, x, kmax)
         if key not in self.memo:
-            smax = self._SMAX
-            h = _outer_coeffs(self.params.alpha, a, smax)
-            pois = self._pois(x + smax)
+            h = _series(self.params.alpha, 1, a, self._SMAX)
+            pois = self._pois(x + len(h))
             out = np.zeros(kmax + 1, dtype=complex)
-            s = np.arange(smax + 1)
             for k in range(kmax + 1):
-                j = x + s - k
-                ok = j >= 0
-                out[k] = np.dot(h[ok], pois[j[ok]])
+                out[k] = _extract(h, pois, x - k)
             self.memo[key] = out
         return self.memo[key]
 
     def q_kernel(self, a, b, x, y):
-        """Q_{a,b}(x,y) by iterated residues, resummation form.
+        """Q_{a,b}(x,y) by iterated annulus extraction.
 
-        Inner w-residues first (coupling pole excluded, per the unequal-radii
+        Inner w-integral first (coupling pole excluded, per the unequal-radii
         contour choice); expanding the coupling as
         (u-w)/(1-u-w) = sum_k (u a_k - a_{k+1}) w^k clears the w-integral and
         the u-integral is then another annulus coefficient extraction.
@@ -233,17 +201,14 @@ class KernelTable:
             a_coef = self._f1_annulus(a, x, kcap + 1)
             smax = self._SMAX
             pois = self._pois(y + kcap + smax + 2)
-            s = np.arange(smax + 1)
-            h = _outer_coeffs(al, b + 1, smax)  # 1/((u-alpha)(u-1)^(b+1))
+            h = _series(al, 1, b + 1, smax)  # 1/((u-alpha)(u-1)^(b+1))
             total = 0.0 + 0.0j
             tiny_run = 0
             for k in range(kcap + 1):
                 # B_delta = [u^(-1)] u^(b-y+delta) e^(t(u-1)) /
                 #           ((u-alpha)(u-1)^(b+k+1)); exponent j = y+k+s+1-delta
-                j1 = y + k + s  # delta = 1
-                j0 = j1 + 1     # delta = 0
-                b1 = np.dot(h, pois[j1])
-                b0 = np.dot(h, pois[j0])
+                b1 = _extract(h, pois, y + k)  # delta = 1
+                b0 = _extract(h, pois, y + k + 1)  # delta = 0
                 term = (-1.0) ** (k + 1) * (a_coef[k] * b1 - a_coef[k + 1] * b0)
                 total += term
                 # a_k peaks near k ~ x, so only trust a run of tiny terms
@@ -262,113 +227,23 @@ class KernelTable:
             self.memo[key] = al**2 * total
         return self.memo[key]
 
-    def u(self, k, z, n_minus_m):
-        """U_k(z): residues at the origin and (for k > N-M) at w = 1.
-
-        The (w-1)^(N-M-k) factor has a pole at 1 once k exceeds N-M; the
-        contour must enclose it along with the origin — that choice is what
-        makes the summation recurrence U_{k+1}(z) = sum_{y>=z} U_k(y) hold
-        and the general-initial-data Pfaffians match the Markov oracle.
-        With the 1-pole absent and z - k + N - M + 1 <= 0 the kernel is 0.
-        """
-        key = ("U", k, z, n_minus_m)
-        if key not in self.memo:
-            t = self.params.t
-            expo = z - k + n_minus_m + 1
-
-            def f(w):
-                return (
-                    _jpow(w - 1.0, n_minus_m - k)
-                    * ((w - 1.0) * t).exp()
-                    / _jpow(w, expo)
-                )
-
-            poles = _cluster_poles([(0.0, expo), (1.0, k - n_minus_m)])
-            self.memo[key] = sum(residue_at(f, p0, m) for p0, m in poles)
-        return self.memo[key]
-
-    # -- the double-contour kernel ------------------------------------------
-
-    def _inner_laurent(self, a, x):
-        """Laurent data of f1(w) = w^(a-x) e^(t(w-1)) / ((w-alpha)(w-1)^a).
-
-        Returns [(pole, order, coeffs)] with coeffs[r] the Laurent coefficient
-        at exponent -1-r, r = 0..order-1, for each enclosed pole of f1.
-        """
-        key = ("innerL", a, x)
-        if key not in self.memo:
-            al, t = self.params.alpha, self.params.t
-
-            def f1(w):
-                return (
-                    _jpow(w, a - x)
-                    * ((w - 1.0) * t).exp()
-                    / ((w - al) * _jpow(w - 1.0, a))
-                )
-
-            poles = _cluster_poles([(0.0, x - a), (al, 1), (1.0, a)])
-            data = []
-            for p0, m in poles:
-                jet = f1(Jet.variable(p0, 2 * m + 6))
-                coeffs = [jet.coeff(-1 - r) for r in range(m)]
-                data.append((p0, m, coeffs))
-            self.memo[key] = data
-        return self.memo[key]
-
-    def q_kernel_residue_poles(self, a, b, x, y):
-        """Q_{a,b}(x,y) by per-pole jet residues (inner w, then outer u).
-
-        Independent of the annulus path; per-pole contributions cancel
-        heavily when alpha < 1 and sites are large, so use for modest
-        arguments (cross-checks) only.
-        """
-        al, t = self.params.alpha, self.params.t
-        inner = self._inner_laurent(a, x)
-
-        def outer_integrand(u):
-            f2 = (
-                _jpow(u, b - y)
-                * ((u - 1.0) * t).exp()
-                / ((u - al) * _jpow(u - 1.0, b))
-            )
-            total = 0.0
-            for p0, m, coeffs in inner:
-                inv = 1.0 / (1.0 - u - p0)
-                acc = 0.0
-                pw = inv
-                for r in range(m):
-                    acc = acc + coeffs[r] * pw
-                    pw = pw * inv
-                total = total + coeffs[0] + (2.0 * u - 1.0) * acc
-            return f2 * total
-
-        candidates = [(0.0, y - b), (al, 1), (1.0, b)]
-        candidates += [(1.0 - p0, m) for p0, m, _ in inner]
-        value = sum(
-            residue_at(outer_integrand, p0, m)
-            for p0, m in _cluster_poles(candidates)
-        )
-        return self.params.alpha**2 * value
-
     # -- initial-data kernels -------------------------------------------------
+    #
+    # (1-u)^(-m) = (-1)^m (u-1)^(-m), so each sign below is the kernel's own
+    # sign times the one that turns its (1-u) power into a (u-1) power.
 
     def xi(self, n, k, y_k, z):
-        """Xi_{N-k}(z) = (-1)^k * residue at 0 of (w-1)^(N-k) e^(t(w-1)) / w^(z-y_k+N-k+1)."""
+        """Xi_{N-k}(z) = (-1)^k * residue at 0 of (w-1)^(N-k) e^(t(w-1)) / w^(z-y_k+N-k+1).
+
+        For k <= N the origin is the only pole.
+        """
+        if k > n:
+            raise ValueError("Xi_{N-k} needs k <= N")
         key = ("Xi", n, k, y_k, z)
         if key not in self.memo:
-            t = self.params.t
+            m = k - n
             expo = z - y_k + n - k + 1
-            if expo <= 0:
-                self.memo[key] = 0.0 + 0.0j
-            else:
-                def f(w):
-                    return (
-                        _jpow(w - 1.0, n - k)
-                        * ((w - 1.0) * t).exp()
-                        / _jpow(w, expo)
-                    )
-
-                self.memo[key] = (-1.0) ** k * residue_at(f, 0.0, expo)
+            self.memo[key] = (-1.0) ** k * self._annulus(0, m, expo + m - 1)
         return self.memo[key]
 
     def xi_upper(self, n, i, k, y_k, x):
@@ -379,40 +254,22 @@ class KernelTable:
         """
         key = ("XiU", n, i, k, y_k, x)
         if key not in self.memo:
-            t = self.params.t
-            expo0 = x - y_k + i - k + 1
-
-            def f(u):
-                return (
-                    _jpow(1.0 - u, i - k)
-                    * ((u - 1.0) * t).exp()
-                    / _jpow(u, expo0)
-                )
-
-            poles = _cluster_poles([(0.0, expo0), (1.0, k - i)])
-            self.memo[key] = (-1.0) ** i * sum(
-                residue_at(f, p0, m) for p0, m in poles
-            )
+            m = k - i
+            expo = x - y_k + i - k + 1
+            self.memo[key] = (-1.0) ** k * self._annulus(0, m, expo + m - 1)
         return self.memo[key]
 
     def xi_virtual(self, n, i, k, y_k):
-        """Xi^[i)_{N-k}(dagger_i): the virtual-coordinate pairing."""
+        """Xi^[i)_{N-k}(dagger_i): the virtual-coordinate pairing.
+
+        (-1)^(i+1) times the integral over a contour around both 0 and 1 of
+        (1-u)^(i-k-1) e^(t(u-1)) / u^(i-k+1-y_k).
+        """
         key = ("XiV", n, i, k, y_k)
         if key not in self.memo:
-            t = self.params.t
-            expo0 = i - k + 1 - y_k
-
-            def f(u):
-                return (
-                    _jpow(1.0 - u, i - k - 1)
-                    * ((u - 1.0) * t).exp()
-                    / _jpow(u, expo0)
-                )
-
-            poles = _cluster_poles([(0.0, expo0), (1.0, k + 1 - i)])
-            self.memo[key] = (-1.0) ** (i + 1) * sum(
-                residue_at(f, p0, m) for p0, m in poles
-            )
+            m = k + 1 - i
+            expo = i - k + 1 - y_k
+            self.memo[key] = (-1.0) ** k * self._annulus(0, m, expo + m - 1)
         return self.memo[key]
 
 
@@ -537,117 +394,3 @@ def theta(i, x):
         return math.comb(x + i - 2, x - 1)
     v = phi_virtual(1, i, x)
     return v
-
-
-# -- symbolic convolution reduction -------------------------------------------
-
-
-@dataclass(frozen=True)
-class Theta:
-    """Token: the polynomial Theta_i = phi_{[N-i+1,N]}(dagger, .)."""
-
-    i: int
-
-
-@dataclass(frozen=True)
-class Psi:
-    """Token: Psi = Q_{1,1}, or its extension Psi^N_{(k,l)} with indices set."""
-
-    n: int = 0
-    k: int = 0
-    l: int = 0
-
-    @property
-    def extended(self):
-        return self.n > 0
-
-
-@dataclass(frozen=True)
-class PhiPos:
-    """Token: phi_{(k,l]}."""
-
-    k: int
-    l: int
-
-
-@dataclass(frozen=True)
-class PhiNeg:
-    """Token: phi_{-(j,m]} (full-space convolution)."""
-
-    j: int
-    m: int
-
-
-def conv_reduce(factors, params=None):
-    """Collapse a star-convolution of closed-family factors.
-
-    Handles the reduction rules the conditional-kernel assembly relies on;
-    infinite lattice sums are eliminated via the generating-function identity
-    sum_{y>=1} u^{1-y} Theta_j(y) = u^j/(u-1)^j.  Returns either a complex
-    number (fully paired), a callable of one or two lattice arguments, or a
-    PhiPos/PhiNeg token for pure indicator-algebra.  Raises ValueError for
-    expressions outside the closed family.
-    """
-    factors = list(factors)
-    if not factors:
-        raise ValueError("empty expression")
-
-    # pure phi algebra: compose / annihilate exactly
-    if all(isinstance(f, (PhiPos, PhiNeg)) for f in factors):
-        cur = factors[0]
-        for nxt in factors[1:]:
-            if isinstance(cur, PhiPos) and isinstance(nxt, PhiPos):
-                if cur.l != nxt.k:
-                    raise ValueError("phi composition needs matching indices")
-                cur = PhiPos(cur.k, nxt.l)
-            elif isinstance(cur, PhiPos) and isinstance(nxt, PhiNeg):
-                if cur.l != nxt.m:
-                    raise ValueError("phi annihilation needs matching N")
-                if cur.k <= nxt.j:
-                    cur = PhiPos(cur.k, nxt.j)
-                else:
-                    cur = PhiNeg(nxt.j, cur.k)
-            else:
-                raise ValueError("unsupported phi combination")
-        return cur
-
-    if params is None:
-        raise ValueError("params required for Psi reductions")
-    tab = table_for(params)
-
-    # Psi^N_{(k,l)} alone -> Q_{N-k+1, N-l+1}
-    if len(factors) == 1 and isinstance(factors[0], Psi) and factors[0].extended:
-        f = factors[0]
-        return lambda x, y: tab.q_kernel(f.n - f.k + 1, f.n - f.l + 1, x, y)
-
-    # Theta_i * Psi * Theta_j -> Q_{i+1,j+1}(1,1)
-    if (
-        len(factors) == 3
-        and isinstance(factors[0], Theta)
-        and isinstance(factors[1], Psi)
-        and not factors[1].extended
-        and isinstance(factors[2], Theta)
-    ):
-        return tab.q_kernel(factors[0].i + 1, factors[2].i + 1, 1, 1)
-
-    # Psi * Theta_j -> x |-> Q_{1, j+1}(x, 1)
-    if (
-        len(factors) == 2
-        and isinstance(factors[0], Psi)
-        and not factors[0].extended
-        and isinstance(factors[1], Theta)
-    ):
-        j = factors[1].i
-        return lambda x: tab.q_kernel(1, j + 1, x, 1)
-
-    # Theta_i * Psi -> y |-> Q_{i+1, 1}(1, y)
-    if (
-        len(factors) == 2
-        and isinstance(factors[0], Theta)
-        and isinstance(factors[1], Psi)
-        and not factors[1].extended
-    ):
-        i = factors[0].i
-        return lambda y: tab.q_kernel(i + 1, 1, 1, y)
-
-    raise ValueError("expression outside the closed convolution family")

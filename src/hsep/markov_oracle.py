@@ -388,19 +388,24 @@ _SIM_SITES = 62  # particles cannot plausibly travel this far at desk-scale t
 def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
     """Gillespie simulation of n_traj trajectories up to time t.
 
-    Vectorized synchronous stepping; the randomness consumed by trajectory i
-    in its r-th step comes from a Philox block keyed by (seed, r), row i, so
-    results are bit-identical for a fixed seed regardless of batching.
+    Vectorized synchronous stepping; the two uniforms that trajectory g
+    consumes in its r-th step are draws 2g and 2g+1 of the Philox stream
+    keyed by seed with counter (0, 0, 0, r), so results are bit-identical for
+    a fixed seed regardless of batching.  Particles live on sites
+    1.._SIM_SITES; an initial site beyond that is refused.
     """
     y = as_config(y)
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if y and y[0] > _SIM_SITES:
+        raise ValueError(
+            f"simulate runs on a {_SIM_SITES}-site lattice; site {y[0]} is beyond it"
+        )
     q, alpha, gamma = params.q, params.alpha, params.gamma
 
     counts = {}
     batch = n_traj if batch is None else batch
     done = 0
-    block = 0
     while done < n_traj:
         nb = min(batch, n_traj - done)
         occ = np.zeros((nb, _SIM_SITES), dtype=bool)
@@ -410,10 +415,12 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
         active = np.ones(nb, dtype=bool)
         rnd = 0
         while np.any(active):
+            # each Philox counter value yields four draws, two trajectories
             gen = np.random.Generator(
-                np.random.Philox(key=seed, counter=[0, 0, block, rnd])
+                np.random.Philox(key=seed, counter=[done // 2, 0, 0, rnd])
             )
-            u = gen.random((nb, 2))
+            skip = 2 * (done % 2)
+            u = gen.random(2 * nb + skip)[skip:].reshape(nb, 2)
             rnd += 1
 
             right = occ[:, :-1] & ~occ[:, 1:]
@@ -464,5 +471,4 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
         for m, c in zip(vals.tolist(), cnts.tolist()):
             counts[int(m)] = counts.get(int(m), 0) + int(c)
         done += nb
-        block += 1
     return EmpiricalDistribution(counts, n_traj, t, params, y, seed)

@@ -148,6 +148,13 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    def test_simulate_beyond_lattice_is_3(self, capsys):
+        rc = main(
+            ["simulate", "--y", "63", "--t", "1", "--alpha", "0.5", "--n", "10", "--seed", "7"]
+        )
+        assert rc == 3
+        assert "62-site lattice" in capsys.readouterr().err
+
     def test_verify_quick_passes(self, capsys):
         rc, out = run_cli(["verify", "--level", "quick"], capsys)
         assert rc == 0

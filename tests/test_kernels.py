@@ -6,13 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import residue_oracle as per_pole
 from hsep.kernels import (
     ModelParams,
-    PhiNeg,
-    PhiPos,
-    Psi,
-    Theta,
-    conv_reduce,
     kernel_p,
     kernel_p_quadrature,
     kernel_Q,
@@ -51,13 +47,12 @@ class TestQKernel:
             assert abs(v - q) < 1e-10
 
     def test_matches_per_pole_jets(self):
-        tab = table_for(P)
         rng = np.random.default_rng(1)
         for _ in range(15):
             a, b = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             x, y = int(rng.integers(1, 8)), int(rng.integers(1, 8))
             assert abs(
-                kernel_Q(a, b, x, y, P) - tab.q_kernel_residue_poles(a, b, x, y)
+                kernel_Q(a, b, x, y, P) - per_pole.kernel_Q(a, b, x, y, P)
             ) < 1e-11
 
     def test_pole_collisions(self):
@@ -155,6 +150,33 @@ class TestXiKernels:
             ) < 1e-14
 
 
+class TestPerPoleOracle:
+    @pytest.mark.parametrize("t", (0.0, 0.4, 1.0, 2.9, 5.0))
+    def test_u_and_xi_kernels_match_per_pole_residues(self, t):
+        # N <= 4 and sites -8..15; Xi^(i) and Xi^[i) do not depend on N
+        p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=t)
+        cases = []
+        for z in range(-8, 16):
+            for nm in range(0, 5):
+                for k in range(-2, 6):
+                    cases.append((kernel_U, per_pole.kernel_U, (k, z, nm)))
+            for yk in (1, 5):
+                for k in range(1, 5):
+                    for n in range(k, 5):
+                        cases.append((kernel_Xi, per_pole.kernel_Xi, (n, k, yk, z)))
+                    for i in range(1, 5):
+                        args = (4, i, k, yk, z)
+                        cases.append((kernel_Xi_upper, per_pole.kernel_Xi_upper, args))
+        for yk in range(-2, 9):
+            for i in range(1, 5):
+                for k in range(1, 5):
+                    args = (4, i, k, yk)
+                    cases.append((kernel_Xi_virtual, per_pole.kernel_Xi_virtual, args))
+        for fn, oracle, args in cases:
+            v = fn(*args, p)
+            assert abs(v - oracle(*args, p)) <= 1e-12 * max(1.0, abs(v)), (fn, args)
+
+
 class TestPhiAlgebra:
     def test_examples(self):
         assert phi_conv(1, 3, 2, 4) == 3
@@ -217,30 +239,30 @@ class TestPhiAlgebra:
 
 
 class TestConvReduce:
-    def test_psi_extended_reduces_to_q(self):
-        n, k, l = 4, 1, 2
-        f = conv_reduce([Psi(n=n, k=k, l=l)], P)
-        assert abs(f(3, 5) - kernel_Q(n - k + 1, n - l + 1, 3, 5, P)) < 1e-14
+    """Star-convolutions of Q_{1,1} with phi and Theta reduce to one Q value."""
 
-    def test_theta_psi_theta(self):
-        v = conv_reduce([Theta(2), Psi(), Theta(3)], P)
-        assert abs(v - kernel_Q(3, 4, 1, 1, P)) < 1e-14
+    def test_psi_extended_reduces_to_q(self):
+        # Psi^N_{(k,l)} = phi_{(k,N]} * Q_{1,1} * phi_{(l,N]}^T = Q_{N-k+1,N-l+1},
+        # checked one convolution at a time: Q_{4,3} from Q_{1,3} and Q_{4,1}
+        n, k, l = 4, 1, 2
+        x, y = 3, 5
+        q = kernel_Q(n - k + 1, n - l + 1, x, y, P)
+        left = sum(
+            phi_conv(k, n, x, v) * kernel_Q(1, n - l + 1, v, y, P)
+            for v in range(x, 90)
+        )
+        right = sum(
+            kernel_Q(n - k + 1, 1, x, v, P) * phi_conv(l, n, y, v)
+            for v in range(y, 90)
+        )
+        assert abs(q - left) < 1e-12
+        assert abs(q - right) < 1e-12
 
     def test_psi_star_theta_vs_truncated_sum(self):
-        f = conv_reduce([Psi(), Theta(3)], P)
+        # Psi * Theta_3 = Q_{1,4}(., 1)
         x = 5
         truncated = sum(kernel_Q(1, 1, x, y, P) * theta(3, y) for y in range(1, 220))
-        assert abs(f(x) - truncated) < 1e-9
-
-    def test_phi_tokens(self):
-        assert conv_reduce([PhiPos(1, 2), PhiPos(2, 4)]) == PhiPos(1, 4)
-        assert conv_reduce([PhiPos(3, 4), PhiNeg(2, 4)]) == PhiNeg(2, 3)
-        with pytest.raises(ValueError):
-            conv_reduce([PhiPos(1, 2), PhiPos(3, 4)])
-
-    def test_outside_family_rejected(self):
-        with pytest.raises(ValueError):
-            conv_reduce([Theta(1), Theta(2)], P)
+        assert abs(kernel_Q(1, 4, x, 1, P) - truncated) < 1e-9
 
 
 class TestMemoReproducibility:

@@ -138,6 +138,12 @@ class TestSimulator:
         c = simulate((2, 1), 0.8, p, 30_000, seed=43)
         assert a.counts != c.counts
 
+    def test_counts_independent_of_batching(self):
+        p = ModelParams(q=0.0, alpha=0.7, gamma=0.0, t=1.0)
+        whole = simulate((), 1.0, p, 2_000, seed=7)
+        for batch in (500, 333):
+            assert simulate((), 1.0, p, 2_000, seed=7, batch=batch).counts == whole.counts
+
     def test_matches_oracle_with_gamma(self):
         p = ModelParams(q=0.3, alpha=0.7, gamma=0.4, t=1.0)
         emp = simulate((2, 1), 1.0, p, 120_000, seed=3)

@@ -67,7 +67,7 @@ class TestJetAlgebra:
     def test_mul_div_roundtrip(self, ac, bc):
         # (a*b)/b recovers a through the window when b has a unit-scale lead
         bc = list(bc)
-        bc[0] = bc[0] + 1.0  # keep b invertible and well scaled
+        bc[0] = 1.0 + bc[0] / 6.0  # |b_0| in [1/2, 3/2]: invertible, well scaled
         a = Jet(0.2, 0, ac)
         b = Jet(0.2, 0, bc)
         c = (a * b) / b
