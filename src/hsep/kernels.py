@@ -17,11 +17,11 @@ poles, one Poisson-weighted sum evaluated here for all six kernels:
   convolution algebra with virtual coordinates
 
 In Q the coupling factor (u-w)/(1-u-w) is expanded in powers of w, which
-turns the double integral into a sum of products of such annulus
-coefficients.  Torus quadrature with unequal radii (``kernel_Q_quadrature``,
-``kernel_p_quadrature``) and per-pole jet residues through
-``hsep.numerics.residue_at`` (``tests/residue_oracle.py``) are the
-independent cross-check paths.
+turns the double integral into the contraction of two memoized rows of
+such annulus coefficients, one per (a, x) and one per (b, y).  Torus
+quadrature with unequal radii (``kernel_Q_quadrature``, ``kernel_p_quadrature``)
+and per-pole jet residues through ``hsep.numerics.residue_at``
+(``tests/residue_oracle.py``) are the independent cross-check paths.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ModelParams",
@@ -117,6 +118,7 @@ class KernelTable:
     """Memoized kernel evaluations for one parameter set (gamma = 0)."""
 
     _SMAX = 700  # annulus series cap; terms die off on a Poisson tail scale
+    _KCAP = 360  # cap on the order k of Q's coupling expansion
 
     def __init__(self, params: ModelParams):
         params.require_exact()
@@ -170,61 +172,65 @@ class KernelTable:
 
     # -- the double-contour kernel ------------------------------------------
 
-    def _f1_annulus(self, a, x, kmax):
-        """a_k = [w^(-k-1)] f1(w) for k = 0..kmax, f1 the w-side of Q_{a,b}.
+    def _support(self):
+        """The Poisson weights up to the last nonzero one; later ones underflow to 0."""
+        return np.trim_zeros(self._pois(self._KCAP + self._SMAX), "b")
 
-        a_k = sum_s h_s e^(-t) t^(x+s-k) / (x+s-k)!  (terms with negative
-        exponent absent).
+    def _window(self, j0, rows, width):
+        """The (rows, width) view pi[j0 + r + c]; weights outside the support are 0."""
+        pad = np.zeros(rows + width - 1)
+        seg = self._support()[max(j0, 0) : max(j0 + len(pad), 0)]
+        pad[max(-j0, 0) :][: len(seg)] = seg
+        return sliding_window_view(pad, width)
+
+    def _f1_annulus(self, a, x):
+        """A[k] = [w^(-k-1)] f1(w) for k <= _KCAP + 1, f1 the w-side of Q_{a,b}.
+
+        A[k] = sum_s h_s pi[x+s-k]: one sliding-window product with h.
         """
-        key = ("f1ann", a, x, kmax)
+        key = ("f1ann", a, x)
         if key not in self.memo:
+            n = self._KCAP + 2
             h = _series(self.params.alpha, 1, a, self._SMAX)
-            pois = self._pois(x + len(h))
-            out = np.zeros(kmax + 1, dtype=complex)
-            for k in range(kmax + 1):
-                out[k] = _extract(h, pois, x - k)
-            self.memo[key] = out
+            self.memo[key] = (self._window(x - n + 1, n, len(h)) @ h)[::-1]
+        return self.memo[key]
+
+    def _g_row(self, b, y):
+        """G[k] = (-1)^(k+1) sum_s (C^k h)_s pi[y+k+s], C the running sum.
+
+        The sum is [u^(-1)] u^(b-y) e^(t(u-1)) / ((u-alpha)(u-1)^(b+k+1)), h
+        the series of 1/((u-alpha)(u-1)^(b+1)).  Only s + k <= J - y meets a
+        nonzero weight (J the end of the support), so row k of the temporary
+        (k, s) table stops there, which also keeps it far from overflow.
+        """
+        key = ("G", b, y)
+        if key not in self.memo:
+            n = max(len(self._support()) - y, 1)  # weights from index y on
+            rows, width = min(self._KCAP + 1, n), min(self._SMAX + 1, n)
+            c = np.zeros((rows, width))
+            c[0] = _series(self.params.alpha, 1, b + 1, width - 1)
+            for k in range(1, rows):
+                np.add.accumulate(c[k - 1, : n - k], out=c[k, : n - k])
+            g = np.einsum("ks,ks->k", c, self._window(y, rows, width))
+            g[::2] *= -1.0
+            self.memo[key] = g
         return self.memo[key]
 
     def q_kernel(self, a, b, x, y):
-        """Q_{a,b}(x,y) by iterated annulus extraction.
+        """Q_{a,b}(x,y) as the contraction of two memoized coefficient rows.
 
         Inner w-integral first (coupling pole excluded, per the unequal-radii
         contour choice); expanding the coupling as
-        (u-w)/(1-u-w) = sum_k (u a_k - a_{k+1}) w^k clears the w-integral and
-        the u-integral is then another annulus coefficient extraction.
+        (u-w)/(1-u-w) = sum_k (u A[k] - A[k+1]) w^k clears the w-integral and
+        leaves, for each k, a u-integral: the signed annulus coefficient G[k],
+
+            Q = alpha^2 sum_k (A_{a,x}[k] G_{b,y}[k] - A_{a,x}[k+1] G_{b,y+1}[k]).
         """
         key = ("Q", a, b, x, y)
         if key not in self.memo:
-            al = self.params.alpha
-            kcap = 360
-            a_coef = self._f1_annulus(a, x, kcap + 1)
-            smax = self._SMAX
-            pois = self._pois(y + kcap + smax + 2)
-            h = _series(al, 1, b + 1, smax)  # 1/((u-alpha)(u-1)^(b+1))
-            total = 0.0 + 0.0j
-            tiny_run = 0
-            for k in range(kcap + 1):
-                # B_delta = [u^(-1)] u^(b-y+delta) e^(t(u-1)) /
-                #           ((u-alpha)(u-1)^(b+k+1)); exponent j = y+k+s+1-delta
-                b1 = _extract(h, pois, y + k)  # delta = 1
-                b0 = _extract(h, pois, y + k + 1)  # delta = 0
-                term = (-1.0) ** (k + 1) * (a_coef[k] * b1 - a_coef[k + 1] * b0)
-                total += term
-                # a_k peaks near k ~ x, so only trust a run of tiny terms
-                # once the peak has certainly passed.
-                if k > x + self.params.t + 8 and abs(term) < 1e-18 * (
-                    1.0 + abs(total)
-                ):
-                    tiny_run += 1
-                    if tiny_run >= 25:
-                        break
-                else:
-                    tiny_run = 0
-                h = np.cumsum(h)  # raise the (u-1) power for the next k
-                if np.max(h) > 1e280:
-                    break  # remaining terms are zero against the Poisson tail
-            self.memo[key] = al**2 * total
+            A, g1, g0 = self._f1_annulus(a, x), self._g_row(b, y), self._g_row(b, y + 1)
+            total = A[: len(g1)] @ g1 - A[1 : len(g0) + 1] @ g0
+            self.memo[key] = complex(self.params.alpha**2 * total)
         return self.memo[key]
 
     # -- initial-data kernels -------------------------------------------------

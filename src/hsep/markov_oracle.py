@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -152,19 +153,18 @@ def _popcounts(n_states, s_max):
     return pc
 
 
-_GEN_CACHE = {}
+_GEN_CACHE_SIZE = 4  # an s_max = 20 generator holds 6.5M nonzeros
 
 
-def _generator_matrix(params: ModelParams, s_max):
+@lru_cache(maxsize=_GEN_CACHE_SIZE)
+def _generator_matrix(q, alpha, gamma, s_max):
     """Sparse transposed generator Q^T on the truncated space (cached).
 
     Entry [target, source] = rate(source -> target); diagonal rows sum to
     minus the total exit rate including the suppressed escape at the cutoff,
-    so probability leaks (is absorbed) instead of reflecting.
+    so probability leaks (is absorbed) instead of reflecting.  The cache
+    keeps the most recently used generators only.
     """
-    key = (params.q, params.alpha, params.gamma, s_max)
-    if key in _GEN_CACHE:
-        return _GEN_CACHE[key]
     n = 1 << s_max
     states = np.arange(n, dtype=np.int64)
     rows, cols, vals = [], [], []
@@ -184,20 +184,20 @@ def _generator_matrix(params: ModelParams, s_max):
     top = (((states >> (s_max - 1)) & 1) == 1)
     total_rate[top] += 1.0
     # bulk left moves
-    if params.q > 0:
+    if q > 0:
         for b in range(1, s_max):
             mask = (((states >> b) & 1) == 1) & (((states >> (b - 1)) & 1) == 0)
-            add(mask, states ^ (np.int64(0b11) << (b - 1)), params.q)
-            total_rate[mask] += params.q
+            add(mask, states ^ (np.int64(0b11) << (b - 1)), q)
+            total_rate[mask] += q
     # boundary injection / removal
-    if params.alpha > 0:
+    if alpha > 0:
         mask = (states & 1) == 0
-        add(mask, states | 1, params.alpha)
-        total_rate[mask] += params.alpha
-    if params.gamma > 0:
+        add(mask, states | 1, alpha)
+        total_rate[mask] += alpha
+    if gamma > 0:
         mask = (states & 1) == 1
-        add(mask, states & ~np.int64(1), params.gamma)
-        total_rate[mask] += params.gamma
+        add(mask, states & ~np.int64(1), gamma)
+        total_rate[mask] += gamma
 
     rows.append(states)
     cols.append(states)
@@ -206,9 +206,7 @@ def _generator_matrix(params: ModelParams, s_max):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     )
-    lam = float(total_rate.max())
-    _GEN_CACHE[key] = (qt, lam)
-    return _GEN_CACHE[key]
+    return qt, float(total_rate.max())
 
 
 @dataclass
@@ -267,31 +265,27 @@ def oracle_distribution(y, t, params: ModelParams, s_max=None, poisson_tol=1e-13
     if s_max is None:
         s_max = default_cutoff(y, t)
     space = TruncatedStateSpace(s_max)
-    qt, lam = _generator_matrix(params, s_max)
+    qt, lam = _generator_matrix(params.q, params.alpha, params.gamma, s_max)
     v = np.zeros(space.size)
     v[space.index(y)] = 1.0
     if lam * t == 0.0:
         return OracleDistribution(t, params, y, s_max, v, 0.0)
 
     mu = lam * t
-    # Poisson(mu) weights, iterated until the tail is certifiably small.
-    n_max = int(mu + 12.0 * math.sqrt(mu + 1.0) + 40.0)
+    # Poisson(mu) weights on the fly, stopping once the kept weight covers
+    # 1 - poisson_tol (or no weight is left past the mode): the weight left
+    # out is missing from out.sum(), so it enters the tail bound.
     logw = -mu
-    weights = [math.exp(logw)]
-    for n_ in range(1, n_max + 1):
+    w = kept = math.exp(logw)
+    out = w * v
+    n_ = 0
+    while kept < 1.0 - poisson_tol and (n_ < mu or w > 0.0):
+        n_ += 1
         logw += math.log(mu) - math.log(n_)
-        weights.append(math.exp(logw))
-    while sum(weights) < 1.0 - poisson_tol:
-        n_max += 20
-        for n_ in range(len(weights), n_max + 1):
-            logw += math.log(mu) - math.log(n_)
-            weights.append(math.exp(logw))
-
-    out = weights[0] * v
-    for n_ in range(1, len(weights)):
+        w = math.exp(logw)
         v = v + qt.dot(v) / lam
-        if weights[n_] > 0.0:
-            out += weights[n_] * v
+        out += w * v
+        kept += w
     tail = max(0.0, 1.0 - float(out.sum())) + poisson_tol
     return OracleDistribution(t, params, y, s_max, out, tail)
 

@@ -46,6 +46,21 @@ class TestQKernel:
             q = kernel_Q_quadrature(a, b, x, y, P)
             assert abs(v - q) < 1e-10
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5])
+    @pytest.mark.parametrize("t", [0.4, 2.9])
+    def test_matches_torus_quadrature_on_benchmark_range(self, alpha, t):
+        p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=t)
+        rng = np.random.default_rng(2)
+        cases = [(1, 1, 25, 24), (4, 4, 25, 25), (4, 1, 1, 25)]
+        for _ in range(12):
+            a, b = (int(v) for v in rng.integers(1, 5, 2))
+            x, y = (int(v) for v in rng.integers(1, 26, 2))
+            cases.append((a, b, x, y))
+        with np.errstate(over="raise", invalid="raise"):
+            for a, b, x, y in cases:
+                v = kernel_Q(a, b, x, y, p)
+                assert abs(v - kernel_Q_quadrature(a, b, x, y, p)) < 1e-10
+
     def test_matches_per_pole_jets(self):
         rng = np.random.default_rng(1)
         for _ in range(15):

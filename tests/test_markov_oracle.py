@@ -103,6 +103,36 @@ class TestUniformization:
         assert dist.probs.sum() <= 1.0 + 1e-12
         assert 1.0 - dist.probs.sum() <= dist.tail_bound
 
+    @pytest.mark.parametrize("poisson_tol", [1e-13, 1e-6])
+    def test_matches_dense_expm_within_tail_bound(self, poisson_tol):
+        # the same truncated chain, built state by state from generator_row
+        from scipy.linalg import expm
+
+        s_max, t = 8, 2.0
+        p = ModelParams(q=0.3, alpha=0.9, gamma=0.2, t=t)
+        qt = np.zeros((1 << s_max, 1 << s_max))
+        for m in range(1 << s_max):
+            targets, qt[m, m], _ = generator_row(mask_to_config(m), p, s_max=s_max)
+            for cfg, rate in targets:
+                qt[config_to_mask(cfg), m] += rate
+        propagator = expm(t * qt)
+        for y in ((), (3, 1), (6, 4, 2)):
+            dist = oracle_distribution(y, t, p, s_max=s_max, poisson_tol=poisson_tol)
+            err = np.abs(dist.probs - propagator[:, config_to_mask(y)]).max()
+            assert err <= dist.tail_bound
+
+    def test_generator_cache_is_bounded(self):
+        from hsep.markov_oracle import _GEN_CACHE_SIZE, _generator_matrix
+
+        _generator_matrix.cache_clear()
+        alphas = [0.1 * (i + 1) for i in range(_GEN_CACHE_SIZE + 1)]
+        for alpha in alphas:
+            oracle_distribution((1,), 0.5, ModelParams(alpha=alpha, t=0.5), s_max=4)
+        info = _generator_matrix.cache_info()
+        assert info.currsize == _GEN_CACHE_SIZE
+        oracle_distribution((2,), 0.5, ModelParams(alpha=alphas[-1], t=0.5), s_max=4)
+        assert _generator_matrix.cache_info().hits == info.hits + 1
+
     def test_count_distribution(self):
         p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
         counts, _ = particle_count_distribution((), 1.0, p, s_max=15)
