@@ -25,8 +25,10 @@ params = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
 # kernels; the builder verifies every pairing and records the residuals.
 fam = build_skew_biorthogonal(4, 2, (9, 7), params)
 print("family residuals (N=4, M=2, y=(9,7)):", fam.residuals)
-print("Phi_1 values:", [round(fam.phi_value(1, x), 6) for x in range(1, 5)])
-print("Upsilon_3 values:", [round(fam.upsilon_value(1, x), 6) for x in range(1, 5)])
+# the families are real polynomials carried in complex arithmetic
+sites = range(1, 5)
+print("Phi_1 values:", [round(fam.phi_value(1, x).real, 6) for x in sites])
+print("Upsilon_3 values:", [round(fam.upsilon_value(1, x).real, 6) for x in sites])
 
 # Conditional probabilities for empty initial data, N = 2.
 dist = oracle_distribution((), 1.0, params, s_max=17)

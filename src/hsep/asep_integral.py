@@ -1,15 +1,20 @@
 """The finite-q transition probability: nested contour quadrature and the
 hyperoctahedral symmetrization.
 
-eval_F implements the initial-data symmetrization (the Bethe-ansatz
-eigenvector of the generator), with the full 2^N N! sum and the cheaper
-partial-symmetrization form; at q = 0 it dispatches to the Pfaffian limit
-(Stembridge block form).  asep_transition_probability integrates the full
-multiple contour integrand on validated nested circles by trapezoid
-quadrature with node doubling, batched so one integrand tensor serves every
-target configuration x.  The supporting identities (eigenvector relation,
-symmetrization factorization, the t = 0 orthogonality, the vanishing
-permutation sum) are exposed as numerical tests.
+eval_F is the initial-data symmetrization (the Bethe-ansatz eigenvector of
+the generator) as its defining 2^N N! sum, kept as the reference; at q = 0 it
+dispatches to the Pfaffian limit (Stembridge block form).  Production
+evaluates F on tensor grids only: _grid_F (the partial-symmetrization form)
+at q > 0 and _grid_F_q0 (the Pfaffian limit, through
+pfaffian.matching_sum) at q = 0, and the scalar forms eval_F_alternative and
+eval_F_pfaffian_limit are one-point calls of them.  asep_transition_batch
+integrates the full multiple contour integrand on validated nested circles
+by trapezoid quadrature, batched so one integrand tensor serves every target
+configuration x; node doubling and the q -> 0 Richardson legs share one
+evaluation path and one gate on the imaginary residual.  The
+supporting identities (eigenvector relation, symmetrization factorization,
+the t = 0 orthogonality, the vanishing permutation sum) are exposed as
+numerical tests.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 from .kernels import ModelParams
 from .markov_oracle import as_config, generator_row
 from .numerics import NestedContourFamily, QuadratureError, default_nested_contours
+from .pfaffian import matching_sum
 
 __all__ = [
     "signed_permutations",
@@ -37,6 +43,7 @@ __all__ = [
 ]
 
 _SING_TOL = 1e-8
+_NODE_CAP = 384  # node doubling gives up beyond this many nodes per dimension
 
 
 def signed_permutations(n):
@@ -135,54 +142,19 @@ def eval_F(y, w, params: ModelParams):
 
 
 def eval_F_alternative(y, w, params: ModelParams):
-    """The partial-symmetrization form: sum over M-subsets and B_M only."""
+    """The partial-symmetrization form: sum over M-subsets and B_M only.
+
+    A one-point call of the grid evaluator that the quadrature runs.
+    """
     y = as_config(y)
     w = [complex(v) for v in w]
     n, m = len(w), len(y)
     if m > n:
         return 0.0 + 0.0j
-    q, alpha = params.q, params.alpha
-    if q == 0.0:
+    if params.q == 0.0:
         raise ValueError("use eval_F_pfaffian_limit at q = 0")
-    _check_alphabet(w, q)
-    if m == 0:
-        return alpha**n + 0.0j
-    total = 0.0 + 0.0j
-    for tset in combinations(range(n), m):
-        rest = [j for j in range(n) if j not in tset]
-        for perm, signs in signed_permutations(m):
-            vals = [
-                _signed_value(w, tset[perm[i] - 1], signs[i], q) for i in range(m)
-            ]
-            term = 1.0 + 0.0j
-            for i in range(m):
-                for j in range(i + 1, m):
-                    term *= _cross(vals[i], vals[j], q)
-                for jdim in rest:
-                    term *= _cross(vals[i], w[jdim], q)
-                term *= _phi_y(vals[i], y[i], q, alpha)
-            total += term
-    return alpha ** (n - m) * total
-
-
-def _pf_small(mat):
-    """Pfaffian by direct expansion (even dim, entries scalars or arrays)."""
-    dim = len(mat)
-    if dim == 0:
-        return 1.0
-    idx = list(range(dim))
-
-    def rec(items):
-        if not items:
-            return 1.0
-        first, rest = items[0], items[1:]
-        total = 0.0
-        for pos, partner in enumerate(rest):
-            remaining = rest[:pos] + rest[pos + 1 :]
-            total = total + (-1.0) ** pos * mat[first][partner] * rec(remaining)
-        return total
-
-    return rec(idx)
+    _check_alphabet(w, params.q)
+    return complex(_grid_F(y, [np.array([v]) for v in w], params).reshape(()))
 
 
 def eval_F_pfaffian_limit(y, w, params: ModelParams):
@@ -230,26 +202,30 @@ def bc_symmetrization_sum(w, q, m_fixed=0):
 # ---------------------------------------------------------------------------
 
 
-def _grid_F(y, nodes_signed, params):
+def _axis(arr, d, n):
+    """The 1-d array arr laid along axis d of an n-dimensional grid."""
+    sh = [1] * n
+    sh[d] = len(arr)
+    return arr.reshape(sh)
+
+
+def _grid_F(y, nodes, params):
     """eval_F on a tensor grid, vectorized via the partial-symmetrization form.
 
-    nodes_signed[d][s] is the 1-d node array of dimension d with sign s
-    (s = 0: w, s = 1: 1/(q w)).  Returns an N-dimensional array.
+    nodes[d] is the 1-d node array of dimension d; returns an N-dimensional
+    array.
     """
     y = as_config(y)
-    n = len(nodes_signed)
+    n = len(nodes)
     m = len(y)
     q, alpha = params.q, params.alpha
-    shape = tuple(len(nodes_signed[d][0]) for d in range(n))
-
-    def axis(arr, d):
-        sh = [1] * n
-        sh[d] = len(arr)
-        return arr.reshape(sh)
+    shape = tuple(len(v) for v in nodes)
+    # signed[d][s]: the nodes of dimension d under sign s (0: w, 1: 1/(q w))
+    signed = [(w, 1.0 / (q * w)) for w in nodes]
 
     def cross2(d1, s1, d2, s2):
-        a = axis(nodes_signed[d1][s1], d1)
-        b = axis(nodes_signed[d2][s2], d2)
+        a = _axis(signed[d1][s1], d1, n)
+        b = _axis(signed[d2][s2], d2, n)
         return _cross(a, b, q)
 
     if m == 0:
@@ -264,12 +240,12 @@ def _grid_F(y, nodes_signed, params):
             term = np.ones(shape, dtype=complex)
             for i in range(m):
                 for j in range(i + 1, m):
-                    term = term * cross2(dims[i], ss[i], dims[j], ss[j])
+                    term *= cross2(dims[i], ss[i], dims[j], ss[j])
                 for jdim in rest:
-                    term = term * cross2(dims[i], ss[i], jdim, 0)
-                phi = _phi_y(nodes_signed[dims[i]][ss[i]], y[i], q, alpha)
-                term = term * axis(phi, dims[i])
-            total = total + term
+                    term *= cross2(dims[i], ss[i], jdim, 0)
+                phi = _phi_y(signed[dims[i]][ss[i]], y[i], q, alpha)
+                term *= _axis(phi, dims[i], n)
+            total += term
     return alpha ** (n - m) * total
 
 
@@ -280,19 +256,13 @@ def _grid_F_q0(y, nodes, params):
     m = len(y)
     alpha = params.alpha
     shape = tuple(len(v) for v in nodes)
-
-    def axis(arr, d):
-        sh = [1] * n
-        sh[d] = len(arr)
-        return arr.reshape(sh)
-
     odd = (n + m) % 2 == 1
     dim = n + m + (1 if odd else 0)
     mat = [[0.0] * dim for _ in range(dim)]
     for i in range(n):
         for j in range(n):
             if i != j:
-                a, b = axis(nodes[i], i), axis(nodes[j], j)
+                a, b = _axis(nodes[i], i, n), _axis(nodes[j], j, n)
                 mat[i][j] = (a - b) / (1.0 - a * b)
     col = n
     if odd:
@@ -304,15 +274,15 @@ def _grid_F_q0(y, nodes, params):
         for i in range(n):
             wv = nodes[i]
             g = (1.0 - alpha + alpha * wv) * wv ** (n - k) / (1.0 - wv) ** y[k]
-            mat[i][col + k] = axis(g, i)
-            mat[col + k][i] = -axis(g, i)
+            mat[i][col + k] = _axis(g, i, n)
+            mat[col + k][i] = -_axis(g, i, n)
     prefactor = np.ones(shape, dtype=complex)
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = axis(nodes[i], i), axis(nodes[j], j)
+            a, b = _axis(nodes[i], i, n), _axis(nodes[j], j, n)
             prefactor = prefactor * (1.0 - a * b) / (a - b)
     sign = (-1.0) ** math.comb(m, 2)
-    return sign * alpha ** (n - m) * prefactor * _pf_small(mat)
+    return sign * alpha ** (n - m) * prefactor * matching_sum(mat)
 
 
 def _integrand_core(y, n, t, params, fam: NestedContourFamily, nodes):
@@ -346,19 +316,18 @@ def _integrand_core(y, n, t, params, fam: NestedContourFamily, nodes):
             1.0 + (v - 1.0) * np.exp(1j * np.pi / (2 * nodes)) for v in node_arrays
         ]
 
+    # Factors accumulate in place, in the order of the written-out product: a
+    # full-grid temporary is 14 MB at N = 3 and 96 nodes, and fresh ones are
+    # faulted in again on every leg and doubling.
     shape = tuple(nodes for _ in range(n))
-
-    def axis(arr, d):
-        sh = [1] * n
-        sh[d] = len(arr)
-        return arr.reshape(sh)
-
     core = np.ones(shape, dtype=complex)
     # inverted cross factor
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = axis(node_arrays[i], i), axis(node_arrays[j], j)
-            core = core * (b - a) * (1.0 - q * a * b) / ((q * b - a) * (1.0 - a * b))
+            a, b = _axis(node_arrays[i], i, n), _axis(node_arrays[j], j, n)
+            core *= b - a
+            core *= 1.0 - q * a * b
+            core /= (q * b - a) * (1.0 - a * b)
     # per-variable factor (without the x power) and quadrature weight
     for d in range(n):
         w = node_arrays[d]
@@ -368,16 +337,11 @@ def _integrand_core(y, n, t, params, fam: NestedContourFamily, nodes):
             * np.exp((1.0 - q) ** 2 * w * t / ((1.0 - w) * (1.0 - q * w)))
         )
         fac = fac * (w - 1.0) / nodes  # trapezoid weight, center 1
-        core = core * axis(fac, d)
-    # initial-data symmetrization
-    if q == 0.0:
-        core = core * _grid_F_q0(y, node_arrays, params)
-    else:
-        signed = []
-        for d in range(n):
-            w = node_arrays[d]
-            signed.append((w, 1.0 / (q * w)))
-        core = core * _grid_F(y, signed, params)
+        core *= _axis(fac, d, n)
+    # initial-data symmetrization (out of place: numpy rounds this
+    # full-grid by full-grid product differently in place)
+    grid_F = _grid_F_q0 if q == 0.0 else _grid_F
+    core = core * grid_F(y, node_arrays, params)
     bases = [((1.0 - v) / (1.0 - q * v)) for v in node_arrays]
     return core, bases
 
@@ -387,41 +351,24 @@ def _contract(core, bases, xs):
     n = core.ndim
     site_values = sorted({x[d] for x in xs for d in range(n)})
     pos = {v: i for i, v in enumerate(site_values)}
-    out = {}
-    # successive tensordot: fold dimension 0 against all needed powers
-    tensor = core
-    mats = []
-    for d in range(n):
-        g = np.array([bases[d] ** (v - 1) for v in site_values])
-        mats.append(g)
-    # result[v1, ..., vN] = sum core * prod g
+    # result[v1, ..., vN] = sum core * prod_d bases[d]^(v_d - 1); tensordot
+    # puts each new index first, so after N folds the order is v_N, ..., v_1
     cur = core
     for d in range(n):
-        cur = np.tensordot(mats[d], cur, axes=([1], [d]))
-        # tensordot puts the new index first; after N folds the order is
-        # v_N, ..., v_1 reversed
+        powers = np.array([bases[d] ** (v - 1) for v in site_values])
+        cur = np.tensordot(powers, cur, axes=([1], [d]))
     cur = np.transpose(cur)
-    for x in xs:
-        out[tuple(x)] = cur[tuple(pos[x[d]] for d in range(n))]
-    return out
+    return {tuple(x): cur[tuple(pos[v] for v in x)] for x in xs}
 
 
-def asep_transition_batch(
-    y,
-    n,
-    xs,
-    t,
-    params: ModelParams,
-    contours: NestedContourFamily = None,
-    nodes=48,
-    node_cap=384,
-    tol=1e-7,
-):
+def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
     """P_t(y -> x) for every x in xs (all with |x| = n), one integrand pass.
 
     Doubles the per-dimension node count until every target value moves by
-    at most tol; returns (dict x -> probability, diagnostics).  Raises
-    QuadratureError if node_cap is reached without convergence.
+    at most tol; at q = 0 with y_M <= N - M + 1 it extrapolates four 96-node
+    legs at small q instead.  Returns (dict x -> probability, diagnostics).
+    Raises QuadratureError if 384 nodes are reached without convergence, and
+    ArithmeticError if a result keeps an imaginary part above max(tol, 1e-9).
     """
     params.require_exact()
     y = as_config(y)
@@ -430,11 +377,25 @@ def asep_transition_batch(
         raise ValueError("all target configurations must have n particles")
     if len(y) > n:
         return {tuple(x): 0.0 for x in xs}, {"nodes": 0, "max_imag": 0.0}
+    pref = math.exp(-params.alpha * t)
     if n == 0:
+        return {(): pref}, {"nodes": 0, "max_imag": 0.0}
+
+    def values(pq, fam, m_nodes):
+        core, bases = _integrand_core(y, n, t, pq, fam, m_nodes)
+        return {x: pref * v for x, v in _contract(core, bases, xs).items()}
+
+    def finish(cur, nodes, **diag):
+        max_imag = max(abs(v.imag) for v in cur.values())
+        if max_imag > max(tol, 1e-9):
+            raise ArithmeticError(
+                f"imaginary residual {max_imag:g} exceeds tolerance"
+            )
         return (
-            {(): math.exp(-params.alpha * t)},
-            {"nodes": 0, "max_imag": 0.0},
+            {x: v.real for x, v in cur.items()},
+            {"nodes": nodes, "max_imag": max_imag, **diag},
         )
+
     if params.q == 0.0 and y and y[-1] <= n - len(y) + 1:
         # The q = 0 symmetrization limit only has its simple Pfaffian form
         # for well-separated initial data (no closed form exists otherwise),
@@ -447,72 +408,40 @@ def asep_transition_batch(
         # over the desk-scale grid at boundary-occupied initial data.
         h = 0.015
         weights = (4.0, -6.0, 4.0, -1.0)
-        pref = math.exp(-params.alpha * t)
         runs = []
         for k in (1, 2, 3, 4):
             pq = ModelParams(q=k * h, alpha=params.alpha, gamma=0.0, t=params.t)
             fam = default_nested_contours(k * h, params.alpha, n)
-            core, bases = _integrand_core(y, n, t, pq, fam, 96)
-            runs.append(
-                {x: pref * v for x, v in _contract(core, bases, xs).items()}
-            )
-        out = {}
-        max_imag = 0.0
-        for x in runs[0]:
-            v = sum(wt * run[x] for wt, run in zip(weights, runs))
-            max_imag = max(max_imag, abs(v.imag))
-            out[x] = v.real
-        return out, {"nodes": 96, "max_imag": max_imag, "q_extrapolated": True}
-    if contours is None:
-        contours = default_nested_contours(params.q, params.alpha, n)
+            runs.append(values(pq, fam, 96))
+        cur = {x: sum(wt * run[x] for wt, run in zip(weights, runs)) for x in runs[0]}
+        return finish(cur, 96, q_extrapolated=True)
 
-    pref = math.exp(-params.alpha * t)
-
-    def values(m_nodes):
-        core, bases = _integrand_core(y, n, t, params, contours, m_nodes)
-        vals = _contract(core, bases, xs)
-        return {x: pref * v for x, v in vals.items()}
-
-    def finish(cur, nodes, diff):
-        max_imag = max(abs(v.imag) for v in cur.values())
-        if max_imag > max(tol, 1e-9):
-            raise ArithmeticError(
-                f"imaginary residual {max_imag:g} exceeds tolerance"
-            )
-        return (
-            {x: v.real for x, v in cur.items()},
-            {"nodes": nodes, "max_imag": max_imag, "last_delta": diff},
-        )
-
-    prev = values(nodes)
+    fam = default_nested_contours(params.q, params.alpha, n)
+    prev = values(params, fam, nodes)
     best_delta = math.inf
     while True:
         nodes *= 2
-        if nodes > node_cap:
+        if nodes > _NODE_CAP:
             # A delta plateau slightly above tol is a roundoff floor, not a
             # discretization failure (the node-doubling estimate is itself
             # noise-limited there); accept it as the reported accuracy.
             if best_delta <= 5.0 * tol:
-                return finish(prev, nodes // 2, best_delta)
+                return finish(prev, nodes // 2, last_delta=best_delta)
             raise QuadratureError(
-                f"ASEP quadrature did not stabilize to {tol:g} by {node_cap} nodes"
+                f"ASEP quadrature did not stabilize to {tol:g} by {_NODE_CAP} nodes"
             )
-        cur = values(nodes)
+        cur = values(params, fam, nodes)
         diff = max(abs(cur[x] - prev[x]) for x in cur)
         best_delta = min(best_delta, diff)
         if diff <= tol:
-            return finish(cur, nodes, diff)
+            return finish(cur, nodes, last_delta=diff)
         prev = cur
 
 
-def asep_transition_probability(
-    y, x, t, params: ModelParams, contours=None, tol=1e-7, nodes=48, node_cap=384
-):
+def asep_transition_probability(y, x, t, params: ModelParams, tol=1e-7, nodes=48):
     """P_t(y -> x) for the half-space process at general q (gamma = 0)."""
     x = as_config(x)
-    vals, _ = asep_transition_batch(
-        y, len(x), [x], t, params, contours, nodes=nodes, node_cap=node_cap, tol=tol
-    )
+    vals, _ = asep_transition_batch(y, len(x), [x], t, params, nodes=nodes, tol=tol)
     return vals[tuple(x)]
 
 
@@ -543,7 +472,7 @@ def test_eigenvector_relation(y, w, params: ModelParams):
     return abs(lhs - rhs) / scale
 
 
-def test_tw_vanishing_sum(x, y, params: ModelParams, radius=0.08, nodes=64):
+def test_tw_vanishing_sum(x, y, params: ModelParams):
     """|sum over non-identity permutations of I_{x,y}(sigma)| at M = N.
 
     The integrals use coincident small circles around 1; each individual term
@@ -558,17 +487,11 @@ def test_tw_vanishing_sum(x, y, params: ModelParams, radius=0.08, nodes=64):
     if n == 1:
         return 0.0
     q = params.q
+    nodes = 64
     theta = 2.0 * np.pi * (np.arange(nodes) + 0.37) / nodes
-    wline = 1.0 + radius * np.exp(1j * theta)
+    wline = 1.0 + 0.08 * np.exp(1j * theta)
     dw = wline - 1.0
-
     shape = tuple(nodes for _ in range(n))
-
-    def axis(arr, d):
-        sh = [1] * n
-        sh[d] = len(arr)
-        return arr.reshape(sh)
-
     total = 0.0 + 0.0j
     for perm in permutations(range(1, n + 1)):
         if perm == tuple(range(1, n + 1)):
@@ -585,8 +508,8 @@ def test_tw_vanishing_sum(x, y, params: ModelParams, radius=0.08, nodes=64):
         for i in range(n):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
-                    a = axis(wline, perm[i] - 1)
-                    b = axis(wline, perm[j] - 1)
+                    a = _axis(wline, perm[i] - 1, n)
+                    b = _axis(wline, perm[j] - 1, n)
                     term = term * (a - q * b) / (b - q * a)
         for i in range(n):
             wv = wline
@@ -595,6 +518,6 @@ def test_tw_vanishing_sum(x, y, params: ModelParams, radius=0.08, nodes=64):
                 / ((1.0 - wv) * (1.0 - q * wv))
                 * ((1.0 - wv) / (1.0 - q * wv)) ** (x[i] - y[inv[i] - 1])
             )
-            term = term * axis(f * dw / nodes, i)
+            term = term * _axis(f * dw / nodes, i, n)
         total += term.sum()
     return abs((q - 1.0) ** n * total)

@@ -583,16 +583,16 @@ def fullspace_kernel(n, y, t, params: ModelParams = None):
     return FullSpaceKernel(n, y, t, params)
 
 
-def fullspace_distribution(p_labels, a_thresholds, n, y, t, x_min=None):
+def fullspace_distribution(p_labels, a_thresholds, n, y, t):
     """P[X_t(p_k) > a_k for all k] for full-space TASEP, via det(I - chi K chi).
 
-    The projection set {(p_k, x): x <= a_k} is truncated below at x_min
-    (default: far below the initial data, where the kernel rows vanish).
+    The projection set {(p_k, x): x <= a_k} is truncated below at
+    min(y, a) - n - 25, far below the initial data, where the kernel rows
+    vanish.
     """
     y = tuple(int(v) for v in y)
     kern = fullspace_kernel(n, y, t)
-    if x_min is None:
-        x_min = min(min(y), min(a_thresholds)) - n - 25
+    x_min = min(min(y), min(a_thresholds)) - n - 25
     points = [
         (p, x)
         for p, a in zip(p_labels, a_thresholds)

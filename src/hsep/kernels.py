@@ -27,6 +27,7 @@ and per-pole jet residues through ``hsep.numerics.residue_at``
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -106,9 +107,15 @@ def _extract(h, pois, j0):
 
 
 def _poisson_weights(t, jmax):
-    """e^(-t) t^j / j! for j = 0..jmax, computed iteratively (no overflow)."""
+    """e^(-t) t^j / j! for j = 0..jmax, computed iteratively (no overflow).
+
+    Raises ArithmeticError once e^(-t) is subnormal (t > ~708): the weights
+    would lose precision and then vanish, and every kernel would read 0.
+    """
     w = np.zeros(jmax + 1)
     w[0] = math.exp(-t)
+    if w[0] < sys.float_info.min:
+        raise ArithmeticError(f"e^(-t) underflows at t = {t:g}; kernels need t <= 708")
     for j in range(1, jmax + 1):
         w[j] = w[j - 1] * t / j
     return w

@@ -230,11 +230,11 @@ class OracleDistribution:
         pc = _popcounts(len(self.probs), self.s_max)
         return float(self.probs[pc == n].sum())
 
-    def to_json(self, min_prob=1e-12):
+    def to_json(self):
         entries = [
             {"config": list(mask_to_config(m)), "p": float(p)}
             for m, p in enumerate(self.probs)
-            if p > min_prob
+            if p > 1e-12
         ]
         entries.sort(key=lambda e: -e["p"])
         return json.dumps(
@@ -350,7 +350,7 @@ class EmpiricalDistribution:
         p = self.probability(config)
         return math.sqrt(max(p * (1.0 - p), 1.0 / self.n_traj) / self.n_traj)
 
-    def to_json(self, min_count=1):
+    def to_json(self):
         entries = [
             {
                 "config": list(mask_to_config(m)),
@@ -358,7 +358,6 @@ class EmpiricalDistribution:
                 "stderr": self.stderr(mask_to_config(m)),
             }
             for m, c in sorted(self.counts.items(), key=lambda kv: -kv[1])
-            if c >= min_count
         ]
         return json.dumps(
             {

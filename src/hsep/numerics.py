@@ -294,13 +294,13 @@ class CircleContour:
         if self.nodes < 8 or self.nodes % 2 != 0:
             raise ValueError("nodes must be an even integer >= 8")
 
-    def points(self, n=None, rotate=False):
+    def points(self, n=None):
         n = self.nodes if n is None else n
-        theta = 2.0 * np.pi * (np.arange(n) + (0.5 if rotate else 0.0)) / n
+        theta = 2.0 * np.pi * np.arange(n) / n
         return self.center + self.radius * np.exp(1j * theta)
 
 
-def circle_quadrature(f, contour, tol=1e-12, node_cap=2**16, rotate=False):
+def circle_quadrature(f, contour, tol=1e-12, node_cap=2**16):
     """(1/2*pi*i) * contour integral of f, by node-doubling trapezoid rule.
 
     Returns (value, nodes_used).  f may be vectorized over numpy arrays or
@@ -311,7 +311,7 @@ def circle_quadrature(f, contour, tol=1e-12, node_cap=2**16, rotate=False):
     n = contour.nodes
 
     def estimate(n):
-        z = contour.points(n, rotate=rotate)
+        z = contour.points(n)
         try:
             fz = np.asarray(f(z), dtype=complex)
             if fz.shape != z.shape:
@@ -361,15 +361,12 @@ class NestedContourFamily:
     alpha: float
     radii: tuple
 
-    def circles(self, nodes=48):
-        return [CircleContour(1.0 + 0.0j, r, nodes) for r in self.radii]
-
     @property
     def size(self):
         return len(self.radii)
 
 
-def validate_nested_contours(q, alpha, radii, samples=720):
+def validate_nested_contours(q, alpha, radii):
     """Check the three constraint groups numerically; return the family.
 
     Raises ContourValidationError listing every violated constraint by name:
@@ -404,7 +401,7 @@ def validate_nested_contours(q, alpha, radii, samples=720):
                 )
 
     if q > 0.0:
-        theta = 2.0 * np.pi * np.arange(samples) / samples
+        theta = 2.0 * np.pi * np.arange(720) / 720
         unit = np.exp(1j * theta)
         for j, rj in enumerate(radii):
             image = q * (1.0 + rj * unit)
@@ -430,8 +427,8 @@ def validate_nested_contours(q, alpha, radii, samples=720):
     return NestedContourFamily(q=q, alpha=alpha, radii=radii)
 
 
-def default_nested_contours(q, alpha, n, r0=None, rho=1.6):
-    """Geometric radii r0 * rho^(i-1), validated; adaptive r0 by default.
+def default_nested_contours(q, alpha, n):
+    """Geometric radii r1 * grow^(i-1) with grow <= 1.6, validated.
 
     Larger contours keep the (1-w)^(-y) initial-data factors small on the
     circles (roundoff scales like r^(-y_1)), so the largest base radius that
@@ -446,20 +443,13 @@ def default_nested_contours(q, alpha, n, r0=None, rho=1.6):
     dmin = min(abs(p - 1.0) for p in forbidden)
     r_hi = 0.55 * dmin
     last_error = None
-    if r0 is not None:
-        try:
-            return validate_nested_contours(
-                q, alpha, [r0 * rho**i for i in range(n)]
-            )
-        except ContourValidationError:
-            raise
     # prefer the largest inner radius the window allows: the exponential
     # factor has amplitude ~ e^(t/r_1) on the innermost circle and the
     # initial-data poles contribute (1-w)^(-y) there, so small circles cost
     # precision even when they validate
     for r1 in (0.15, 0.12, 0.1, 0.08, 0.06, 0.05, 0.04, 0.03, 0.02, 0.012):
         if n > 1:
-            grow = min(rho, (r_hi / r1) ** (1.0 / (n - 1)))
+            grow = min(1.6, (r_hi / r1) ** (1.0 / (n - 1)))
             if grow < 1.22:
                 continue  # circles too close together: slow convergence
         else:

@@ -1,9 +1,11 @@
 """Dense skew-symmetric linear algebra: Pfaffians and skew-Borel factorization.
 
 The Pfaffian uses Parlett-Reid-style congruence tridiagonalization with
-partial pivoting (O(n^3), sign tracked through row/column swaps).  The
-skew-Borel factorization M = R J R^T (R upper triangular, J the standard
-symplectic block form) is computed by trailing-column deflation, and an
+partial pivoting (O(n^3), sign tracked through row/column swaps);
+matching_sum expands the signed perfect-matching sum for small matrices
+whose entries may be broadcast arrays (one call per grid).  The skew-Borel
+factorization M = R J R^T (R upper triangular, J the standard symplectic
+block form) is computed by trailing-column deflation, and an
 independent entry-by-entry construction of R^{-1} from ratios of sub-Pfaffian
 minors is provided as a cross-check.  identity_suite() runs randomized
 instances of the classical Pfaffian identities (Stembridge, de Bruijn, block
@@ -21,6 +23,7 @@ __all__ = [
     "as_skew",
     "pfaffian",
     "pfaffian_definition",
+    "matching_sum",
     "SkewBorelFactorization",
     "SingularTrailingMinorError",
     "skew_borel",
@@ -56,11 +59,11 @@ def as_skew(entries, symmetrize=False):
     return a
 
 
-def pfaffian(m, pivot_tol=_PIVOT_TOL):
+def pfaffian(m):
     """Pfaffian of a skew-symmetric matrix; odd dimension returns 0.
 
     Satisfies pfaffian(M)^2 = det(M).  Matrices whose pivots all fall below
-    pivot_tol * scale are reported as singular (Pfaffian 0).
+    1e-13 * scale are reported as singular (Pfaffian 0).
     """
     a = as_skew(m)
     n = a.shape[0]
@@ -79,7 +82,7 @@ def pfaffian(m, pivot_tol=_PIVOT_TOL):
             a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
             pf = -pf
         pivot = a[k + 1, k]
-        if abs(pivot) <= pivot_tol * scale:
+        if abs(pivot) <= _PIVOT_TOL * scale:
             return 0.0 + 0.0j
         pf *= a[k, k + 1]
         if k + 2 < n:
@@ -89,28 +92,33 @@ def pfaffian(m, pivot_tol=_PIVOT_TOL):
     return pf
 
 
+def matching_sum(mat):
+    """Pfaffian as the signed sum over perfect matchings of rows of entries.
+
+    mat[i][j] may be scalars or mutually broadcastable arrays, so one call
+    evaluates the Pfaffian at every point of a grid; odd dimension gives 0.
+    Costs (dim - 1)!! products: for small matrices only.
+    """
+
+    def rec(items):
+        if not items:
+            return 1.0
+        first, rest = items[0], items[1:]
+        total = 0.0
+        for pos, partner in enumerate(rest):
+            remaining = rest[:pos] + rest[pos + 1 :]
+            total = total + (-1.0) ** pos * mat[first][partner] * rec(remaining)
+        return total
+
+    return rec(list(range(len(mat))))
+
+
 def pfaffian_definition(m):
     """Pfaffian straight from the signed perfect-matching sum (dim <= 10)."""
     a = as_skew(m)
-    n = a.shape[0]
-    if n % 2 == 1:
-        return 0.0 + 0.0j
-    if n == 0:
-        return 1.0 + 0.0j
-    if n > 10:
+    if a.shape[0] > 10:
         raise ValueError("combinatorial definition is for small matrices only")
-
-    def rec(items, sign):
-        if not items:
-            return sign
-        first, rest = items[0], items[1:]
-        total = 0.0 + 0.0j
-        for i, partner in enumerate(rest):
-            remaining = rest[:i] + rest[i + 1 :]
-            total += sign * (-1) ** i * a[first, partner] * rec(remaining, 1.0)
-        return total
-
-    return rec(list(range(n)), 1.0)
+    return matching_sum(a) + 0.0j
 
 
 def symplectic_j(n):
@@ -144,7 +152,7 @@ class SkewBorelFactorization:
         return self.r @ self.j @ self.r.T
 
 
-def skew_borel(m, pivot_tol=_PIVOT_TOL):
+def skew_borel(m):
     """Skew-Borel factorization by deflating trailing column pairs.
 
     The trailing column pair of M determines the last two columns of R
@@ -162,7 +170,7 @@ def skew_borel(m, pivot_tol=_PIVOT_TOL):
     for blk in range(n // 2, 0, -1):
         c1, c2 = 2 * blk - 2, 2 * blk - 1  # 0-indexed columns of the pair
         pivot = a[c1, c2]
-        if abs(pivot) <= pivot_tol * scale:
+        if abs(pivot) <= _PIVOT_TOL * scale:
             raise SingularTrailingMinorError(blk)
         r1 = a[:, c2].copy()
         r2 = -a[:, c1] / pivot

@@ -23,7 +23,6 @@ from .kernels import (
     kernel_U,
     kernel_Xi,
     kernel_p,
-    phi_conv,
 )
 from .markov_oracle import as_config
 from .pfaffian import pfaffian

@@ -75,7 +75,10 @@ class TestEvalF:
 
     def test_alternative_formula(self):
         rng = np.random.default_rng(3)
-        for (y, n) in (((3,), 2), ((4, 2), 3), ((5, 3), 3)):
+        # every (N, M) with M >= 1 that the quadrature runs, N <= 3
+        cases = (((2,), 1), ((3,), 2), ((3, 1), 2), ((4,), 3), ((4, 2), 3),
+                 ((5, 3), 3), ((5, 3, 1), 3))
+        for (y, n) in cases:
             w = alphabet(rng, n)
             a = eval_F(y, w, P)
             b = eval_F_alternative(y, w, P)

@@ -155,6 +155,11 @@ class TestExitCodes:
         assert rc == 3
         assert "62-site lattice" in capsys.readouterr().err
 
+    def test_kernel_underflow_is_4(self, capsys):
+        rc = main(["tasep-prob", "--x", "1", "--alpha", "0.5", "--t", "760"])
+        assert rc == 4
+        assert "underflows" in capsys.readouterr().err
+
     def test_verify_quick_passes(self, capsys):
         rc, out = run_cli(["verify", "--level", "quick"], capsys)
         assert rc == 0

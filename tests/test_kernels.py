@@ -108,6 +108,15 @@ class TestPKernel:
         q = kernel_p_quadrature(1, 1, p0)
         assert abs(v - q) < 1e-13
 
+    def test_refused_where_e_minus_t_underflows(self):
+        # e^(-t) is subnormal above t ~ 708.4 and 0 above ~745; the Poisson
+        # weights built from it would make every kernel read 0
+        for t in (709.0, 760.0):
+            with pytest.raises(ArithmeticError, match="underflows"):
+                kernel_p(1, 760, ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=t))
+        v = kernel_p(1, 700, ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=700.0))
+        assert 0.9 < abs(v) < 1.0
+
 
 class TestUKernel:
     def test_full_space_poisson(self):

@@ -10,6 +10,7 @@ from hsep.pfaffian import (
     SingularTrailingMinorError,
     as_skew,
     identity_suite,
+    matching_sum,
     pfaffian,
     pfaffian_definition,
     skew_borel,
@@ -63,6 +64,24 @@ class TestPfaffian:
         for n in (2, 4, 6, 8):
             a = random_skew(rng, n)
             assert abs(pfaffian(a) - pfaffian_definition(a)) < 1e-11
+
+    def test_matching_sum_on_broadcast_grid(self):
+        # the q = 0 quadrature hands matching_sum rows of entries that vary
+        # along different grid axes, mixed with scalars
+        rng = np.random.default_rng(12)
+        grid = (3, 4)
+        shapes = [(3, 1), (1, 4), grid, ()]
+        for dim in (2, 4, 6):
+            mat = [[0.0] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(i + 1, dim):
+                    sh = shapes[(i + 2 * j) % 4]
+                    v = rng.normal(size=sh) + 1j * rng.normal(size=sh)
+                    mat[i][j], mat[j][i] = v, -v
+            values = np.broadcast_to(matching_sum(mat), grid)
+            for p in np.ndindex(*grid):
+                a = np.array([[np.broadcast_to(e, grid)[p] for e in row] for row in mat])
+                assert abs(values[p] - pfaffian(a)) < 1e-12 * max(1.0, abs(values[p]))
 
     def test_swap_flips_sign(self):
         rng = np.random.default_rng(4)
