@@ -154,7 +154,8 @@ def eval_F_alternative(y, w, params: ModelParams):
     if params.q == 0.0:
         raise ValueError("use eval_F_pfaffian_limit at q = 0")
     _check_alphabet(w, params.q)
-    return complex(_grid_F(y, [np.array([v]) for v in w], params).reshape(()))
+    bufs = np.empty((2,) + (1,) * n, dtype=complex)
+    return complex(_grid_F(y, [np.array([v]) for v in w], params, bufs).reshape(()))
 
 
 def eval_F_pfaffian_limit(y, w, params: ModelParams):
@@ -209,17 +210,17 @@ def _axis(arr, d, n):
     return arr.reshape(sh)
 
 
-def _grid_F(y, nodes, params):
+def _grid_F(y, nodes, params, bufs):
     """eval_F on a tensor grid, vectorized via the partial-symmetrization form.
 
     nodes[d] is the 1-d node array of dimension d; returns an N-dimensional
-    array.
+    array, computed in bufs (two arrays of the grid's shape, the result in
+    the second).
     """
     y = as_config(y)
     n = len(nodes)
     m = len(y)
     q, alpha = params.q, params.alpha
-    shape = tuple(len(v) for v in nodes)
     # signed[d][s]: the nodes of dimension d under sign s (0: w, 1: 1/(q w))
     signed = [(w, 1.0 / (q * w)) for w in nodes]
 
@@ -228,16 +229,17 @@ def _grid_F(y, nodes, params):
         b = _axis(signed[d2][s2], d2, n)
         return _cross(a, b, q)
 
+    total, term = bufs
     if m == 0:
-        return np.full(shape, alpha**n, dtype=complex)
-
-    total = np.zeros(shape, dtype=complex)
+        term.fill(alpha**n)
+        return term
+    total.fill(0.0)
     for tset in combinations(range(n), m):
         rest = [j for j in range(n) if j not in tset]
         for perm, signs in signed_permutations(m):
             dims = [tset[perm[i] - 1] for i in range(m)]
             ss = [0 if signs[i] > 0 else 1 for i in range(m)]
-            term = np.ones(shape, dtype=complex)
+            term.fill(1.0)
             for i in range(m):
                 for j in range(i + 1, m):
                     term *= cross2(dims[i], ss[i], dims[j], ss[j])
@@ -246,7 +248,7 @@ def _grid_F(y, nodes, params):
                 phi = _phi_y(signed[dims[i]][ss[i]], y[i], q, alpha)
                 term *= _axis(phi, dims[i], n)
             total += term
-    return alpha ** (n - m) * total
+    return np.multiply(alpha ** (n - m), total, out=term)
 
 
 def _grid_F_q0(y, nodes, params):
@@ -285,9 +287,10 @@ def _grid_F_q0(y, nodes, params):
     return sign * alpha ** (n - m) * prefactor * matching_sum(mat)
 
 
-def _integrand_core(y, n, t, params, fam: NestedContourFamily, nodes):
+def _integrand_core(y, n, t, params, fam: NestedContourFamily, nodes, bufs):
     """The x-independent part of the integrand, summed against quadrature
-    weights: returns (core array, per-dim base arrays for the x powers)."""
+    weights: returns (core array, per-dim base arrays for the x powers).
+    The grid arrays are computed in bufs, three arrays of the grid's shape."""
     q, alpha = params.q, params.alpha
     node_arrays = []
     for d in range(n):
@@ -316,11 +319,11 @@ def _integrand_core(y, n, t, params, fam: NestedContourFamily, nodes):
             1.0 + (v - 1.0) * np.exp(1j * np.pi / (2 * nodes)) for v in node_arrays
         ]
 
-    # Factors accumulate in place, in the order of the written-out product: a
-    # full-grid temporary is 14 MB at N = 3 and 96 nodes, and fresh ones are
-    # faulted in again on every leg and doubling.
-    shape = tuple(nodes for _ in range(n))
-    core = np.ones(shape, dtype=complex)
+    # Factors accumulate in place, in the order of the written-out product,
+    # in arrays the caller keeps: a full-grid array is 14 MB at N = 3 and 96
+    # nodes, and a fresh one is faulted in again on every leg and doubling.
+    core = bufs[0]
+    core.fill(1.0)
     # inverted cross factor
     for i in range(n):
         for j in range(i + 1, n):
@@ -338,10 +341,11 @@ def _integrand_core(y, n, t, params, fam: NestedContourFamily, nodes):
         )
         fac = fac * (w - 1.0) / nodes  # trapezoid weight, center 1
         core *= _axis(fac, d, n)
-    # initial-data symmetrization (out of place: numpy rounds this
-    # full-grid by full-grid product differently in place)
-    grid_F = _grid_F_q0 if q == 0.0 else _grid_F
-    core = core * grid_F(y, node_arrays, params)
+    # initial-data symmetrization
+    if q == 0.0:
+        core *= _grid_F_q0(y, node_arrays, params)
+    else:
+        core *= _grid_F(y, node_arrays, params, bufs[1:])
     bases = [((1.0 - v) / (1.0 - q * v)) for v in node_arrays]
     return core, bases
 
@@ -381,8 +385,13 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
     if n == 0:
         return {(): pref}, {"nodes": 0, "max_imag": 0.0}
 
+    bufs = None  # three grid arrays of the current node count, for every leg
+
     def values(pq, fam, m_nodes):
-        core, bases = _integrand_core(y, n, t, pq, fam, m_nodes)
+        nonlocal bufs
+        if bufs is None or bufs.shape[1] != m_nodes:
+            bufs = np.empty((3,) + (m_nodes,) * n, dtype=complex)
+        core, bases = _integrand_core(y, n, t, pq, fam, m_nodes, bufs)
         return {x: pref * v for x, v in _contract(core, bases, xs).items()}
 
     def finish(cur, nodes, **diag):

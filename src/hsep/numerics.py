@@ -460,7 +460,9 @@ def default_nested_contours(q, alpha, n):
         try:
             return validate_nested_contours(q, alpha, radii)
         except ContourValidationError as exc:
-            last_error = exc
+            # without its traceback: that would hold this frame and the
+            # caller's, and their arrays, until the cycle collector runs
+            last_error = exc.with_traceback(None)
     if last_error is not None:
         raise last_error
     raise ContourValidationError(

@@ -299,10 +299,9 @@ def _de_bruijn_discrete(rng, m, extra, odd_kernel):
     s = rng.normal(size=(extra, extra)) + 1j * rng.normal(size=(extra, extra))
     s = s - s.T
 
-    ell = m + extra + (1 if odd_kernel else 0)
+    dim = m + extra + (1 if odd_kernel else 0)
 
     def kernel_pf(widx):
-        dim = m + extra + (1 if odd_kernel else 0)
         k = np.zeros((dim, dim), dtype=complex)
         k[:m, :m] = h[np.ix_(widx, widx)]
         c = m
@@ -328,7 +327,6 @@ def _de_bruijn_discrete(rng, m, extra, odd_kernel):
     a = np.einsum("ip,jq,p,q,pq->ij", g, g, wts, wts, h)
     c = np.einsum("ip,kp,p->ik", g, f, wts) if extra else np.zeros((m, 0))
     b = g @ wts
-    dim = m + extra + (1 if odd_kernel else 0)
     rhs_mat = np.zeros((dim, dim), dtype=complex)
     rhs_mat[:m, :m] = a
     col = m
@@ -341,7 +339,6 @@ def _de_bruijn_discrete(rng, m, extra, odd_kernel):
         rhs_mat[col:, :m] = -c.T
         rhs_mat[col:, col:] = s
     rhs = pfaffian(rhs_mat)
-    _ = ell
     return lhs, rhs
 
 

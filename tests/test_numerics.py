@@ -1,6 +1,7 @@
 """Jets, residues, circle quadrature, nested contour validation."""
 
 import cmath
+import gc
 import math
 
 import numpy as np
@@ -192,3 +193,14 @@ class TestNestedContours:
             for alpha in (0.4, 1.2):
                 fam = default_nested_contours(q, alpha, 3)
                 assert fam.size == 3
+
+    def test_rejected_radii_leave_no_reference_cycle(self):
+        # a kept exception with its traceback would hold this frame and the
+        # caller's, with the caller's grid arrays, until the collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            default_nested_contours(0.7, 0.6, 3)  # rejects four radii first
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
