@@ -24,7 +24,7 @@ from . import markov_oracle as orc
 from . import tasep_formulas as tf
 from .kernels import ModelParams
 from .numerics import ContourValidationError, QuadratureError
-from .verify import run_checks
+from .verify import format_row, run_checks
 
 SCHEMA = 1
 
@@ -112,7 +112,6 @@ def _cmd_tasep_prob(args):
         "y": list(y),
         "x": list(x),
         "value": value,
-        "residual_im": 0.0,
     }
     if args.oracle:
         prob, tail = orc.transition_probability_exact(y, x, args.t, params, args.s_max)
@@ -256,11 +255,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_verify(args):
-    rows, passed = run_checks(level=args.level, seed=args.seed)
-    width = max(len(r[0]) for r in rows)
-    for name, residual, threshold, ok in rows:
-        status = "pass" if ok else "FAIL"
-        print(f"{name:<{width}}  {residual:10.3e}  (<= {threshold:.0e})  {status}")
+    rows, passed = run_checks(level=args.level)
+    for row in rows:
+        print(format_row(row))
     print(f"{'ALL CHECKS PASS' if passed else 'CHECKS FAILED'} [level={args.level}]")
     if args.out:
         with open(args.out, "w") as fh:
@@ -360,9 +357,8 @@ def build_parser():
     _add_common(s, q=True, gamma=True)
     s.set_defaults(fn=_cmd_simulate)
 
-    s = subs.add_parser("verify", help="run the cross-module identity suite")
+    s = subs.add_parser("verify", help="run the acceptance criteria (hsep.verify.CHECKS)")
     s.add_argument("--level", choices=("quick", "full"), default="quick")
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None)
     s.set_defaults(fn=_cmd_verify)
     return parser

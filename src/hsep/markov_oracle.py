@@ -226,10 +226,6 @@ class OracleDistribution:
             raise ValueError("configuration outside the truncated space")
         return float(self.probs[m])
 
-    def particle_count_probability(self, n):
-        pc = _popcounts(len(self.probs), self.s_max)
-        return float(self.probs[pc == n].sum())
-
     def to_json(self):
         entries = [
             {"config": list(mask_to_config(m)), "p": float(p)}
@@ -385,7 +381,9 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
     consumes in its r-th step are draws 2g and 2g+1 of the Philox stream
     keyed by seed with counter (0, 0, 0, r), so results are bit-identical for
     a fixed seed regardless of batching.  Particles live on sites
-    1.._SIM_SITES; an initial site beyond that is refused.
+    1.._SIM_SITES; an initial site beyond that is refused, and so is a run
+    in which any trajectory occupies site _SIM_SITES (ArithmeticError),
+    because a particle there cannot jump on.
     """
     y = as_config(y)
     if n_traj < 1:
@@ -408,6 +406,11 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
         active = np.ones(nb, dtype=bool)
         rnd = 0
         while np.any(active):
+            if occ[:, -1].any():
+                raise ArithmeticError(
+                    f"simulate: a particle reached site {_SIM_SITES}, the edge of "
+                    f"its {_SIM_SITES}-site lattice"
+                )
             # each Philox counter value yields four draws, two trajectories
             gen = np.random.Generator(
                 np.random.Philox(key=seed, counter=[done // 2, 0, 0, rnd])

@@ -452,7 +452,6 @@ def identity_suite(seed=0, tol=1e-9):
     # Andreief recovery: l = 2m, h = 0, S = 0 reduces to det * det
     m = 3
     npts = 6
-    pts_w = rng.normal(size=npts)
     wts = rng.normal(size=npts)
     g = rng.normal(size=(m, npts))
     f = rng.normal(size=(m, npts))
@@ -467,7 +466,6 @@ def identity_suite(seed=0, tol=1e-9):
     lhs /= math.factorial(m)
     rhs = np.linalg.det(np.einsum("ip,kp,p->ik", g, f, wts))
     report["andreief-recovery"] = abs(lhs - rhs) / max(abs(rhs), 1.0)
-    _ = pts_w
 
     report_passed = all(v <= tol for v in report.values())
     return {"checks": report, "passed": report_passed, "tol": tol}

@@ -1,397 +1,23 @@
-"""Acceptance criteria, one test per criterion, each printing a PASS line.
+"""The 13 acceptance criteria of `hsep.verify.CHECKS`, one test each.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the whole suite is oracle- and property-based at desk scale.
+Run `pytest -s tests/test_acceptance.py` to see one PASS/FAIL line per row;
+`hsep verify --level full` prints the same rows.  Each test is named after
+its check (`test_criterion_01_asep_oracle_equivalence`, ...).
 """
 
-import math
-import time
-from itertools import combinations
-
-import numpy as np
-import pytest
-
-from hsep.asep_integral import (
-    V_constant,
-    asep_transition_batch,
-    bc_symmetrization_sum,
-    eval_F,
-    test_eigenvector_relation as eigenvector_residual,
-    test_tw_vanishing_sum as tw_vanishing_sum,
-)
-from hsep.conditional import (
-    conditional_distribution,
-    conditional_kernel,
-    correlation_kernel_bruteforce,
-    fullspace_distribution,
-    moment_matrix,
-)
-from hsep.kernels import ModelParams, kernel_Q, kernel_U, kernel_p
-from hsep.markov_oracle import (
-    conditional_event_probability,
-    oracle_distribution,
-    simulate,
-)
-from hsep.pfaffian import (
-    identity_suite,
-    pfaffian,
-    skew_borel,
-    skew_borel_explicit_inverse,
-    stembridge_pfaffian_pair,
-)
-from hsep.tasep_formulas import (
-    gt_pattern_sum,
-    tasep_transition_probability,
-)
+from hsep.verify import CHECKS, evaluate, format_row
 
 
-def _configs(max_site, n):
-    return [tuple(sorted(c, reverse=True)) for c in combinations(range(1, max_site + 1), n)]
+def _acceptance_test(check):
+    def test():
+        rows = evaluate(check)
+        for row in rows:
+            print(format_row(row))
+        failed = [row[0] for row in rows if not row[3]]
+        assert not failed, f"{check.name}: above threshold: {failed}"
+
+    return test
 
 
-def _report(num, label, worst, tol):
-    status = "PASS" if worst <= tol else "FAIL"
-    print(f"[criterion {num:02d}] {label}: worst {worst:.3e} <= {tol:.0e}: {status}")
-    assert worst <= tol, f"criterion {num}: {worst:.3e} > {tol:.0e}"
-
-
-def test_criterion_01_asep_oracle_equivalence():
-    t_start = time.time()
-    worst = 0.0
-    by_n = {n: _configs(6, n) for n in range(4)}
-    for q in (0.0, 0.3, 0.7):
-        for alpha in (0.4, 1.2):
-            for t in (0.3, 1.0):
-                params = ModelParams(q=q, alpha=alpha, gamma=0.0, t=t)
-                s_max = 6 + (11 if t >= 1.0 else 9)
-                for m in range(0, 4):
-                    for y in by_n[m]:
-                        dist = oracle_distribution(y, t, params, s_max)
-                        assert dist.tail_bound < 1e-7
-                        for n in range(m, 4):
-                            if n == 0:
-                                worst = max(
-                                    worst,
-                                    abs(math.exp(-alpha * t) - dist.probability(())),
-                                )
-                                continue
-                            vals, _ = asep_transition_batch(
-                                y, n, by_n[n], t, params, nodes=24, tol=2e-7
-                            )
-                            for x, v in vals.items():
-                                worst = max(worst, abs(v - dist.probability(x)))
-    elapsed = time.time() - t_start
-    assert elapsed < 1800, f"criterion 1 runtime {elapsed:.0f}s exceeds 30 min"
-    _report(1, f"ASEP integral vs oracle ({elapsed:.0f}s)", worst, 1e-6)
-
-
-def test_criterion_02_tasep_pfaffian_oracle_equivalence():
-    t_start = time.time()
-    p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
-    worst = 0.0
-    ys = [(), (8,), (8, 6), (8, 6, 4), (8, 6, 4, 2)]
-    for y in ys:
-        dist = oracle_distribution(y, 1.0, p, s_max=20)
-        for n in range(len(y), 5):
-            for x in _configs(8, n):
-                f = tasep_transition_probability(y, x, 1.0, p)
-                worst = max(worst, abs(f - dist.probability(x)))
-    elapsed = time.time() - t_start
-    assert elapsed < 300, f"criterion 2 runtime {elapsed:.0f}s exceeds 5 min"
-    _report(2, f"TASEP Pfaffian vs oracle, N<=4 both parities ({elapsed:.0f}s)", worst, 1e-9)
-
-
-def test_criterion_03_t0_orthogonality():
-    worst = 0.0
-    for (q, alpha) in ((0.3, 0.6), (0.7, 1.2)):
-        params = ModelParams(q=q, alpha=alpha, gamma=0.0, t=0.0)
-        for n in (1, 2, 3):
-            xs = _configs(5, n)
-            for m in range(0, n + 1):
-                for y in _configs(5, m):
-                    vals, _ = asep_transition_batch(
-                        y, n, xs, 0.0, params, nodes=24, tol=2e-8
-                    )
-                    for x, v in vals.items():
-                        worst = max(worst, abs(v - (1.0 if x == y else 0.0)))
-    _report(3, "t=0 orthogonality, all pairs N<=3 sites<=5", worst, 1e-7)
-
-
-def test_criterion_04_eigenvector_residual():
-    rng = np.random.default_rng(7)
-    params = ModelParams(q=0.45, alpha=0.7, gamma=0.0, t=1.0)
-    slices = {
-        0: [()],
-        1: [(3,), (1,)],
-        2: [(4, 3), (2, 1), (5, 1)],
-        3: [(5, 4, 3), (3, 2, 1), (6, 4, 1)],
-    }
-    worst = 0.0
-    for n in range(1, 5):
-        for m in range(0, min(n, 3) + 1):
-            ys = slices[m]
-            for rep in range(50):
-                y = ys[rep % len(ys)]
-                w = 0.3 + 0.25 * rng.normal(size=n) + 0.25j * rng.normal(size=n)
-                worst = max(worst, eigenvector_residual(y, w, params))
-    _report(4, "generator eigenvector relation, (N,M)<=(4,3)", worst, 1e-9)
-
-
-def test_criterion_05_symmetrization_identities():
-    rng = np.random.default_rng(11)
-    worst_fac = 0.0
-    for q in (0.25, 0.6):
-        params = ModelParams(q=q, alpha=0.8, gamma=0.0, t=1.0)
-        for n in (2, 3, 4):
-            w = 0.3 + 0.3 * rng.normal(size=n) + 0.3j * rng.normal(size=n)
-            s = bc_symmetrization_sum(w, q)
-            worst_fac = max(worst_fac, abs(s - 1.0 / V_constant(n, q)) / abs(s))
-            for m in range(1, n):
-                from hsep.asep_integral import _cross
-
-                sp = bc_symmetrization_sum(w, q, m_fixed=m)
-                expected = 1.0 / V_constant(n - m, q)
-                for i in range(m):
-                    for j in range(i + 1, n):
-                        expected *= _cross(w[i], w[j], q)
-                worst_fac = max(worst_fac, abs(sp - expected) / abs(expected))
-    worst_f1 = 0.0
-    params = ModelParams(q=0.4, alpha=0.7, gamma=0.0, t=1.0)
-    for n in (1, 2, 3, 4):
-        w = 0.3 + 0.3 * rng.normal(size=n) + 0.3j * rng.normal(size=n)
-        v = eval_F((1,), w, params)
-        rhs = params.alpha ** (n - 1) * sum(
-            (1 - params.q) ** 2 * wi / ((1 - wi) * (1 - params.q * wi)) for wi in w
-        )
-        worst_f1 = max(worst_f1, abs(v - rhs) / max(abs(rhs), 1e-12))
-    _report(5, "symmetrization factorizations N<=4", max(worst_fac, 0.0), 1e-9)
-    _report(5, "F at configuration (1)", worst_f1, 1e-10)
-
-
-def test_criterion_06_pfaffian_core():
-    rng = np.random.default_rng(13)
-    worst_sq = 0.0
-    for n in range(2, 21, 2):
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        a = a - a.T
-        pf = pfaffian(a)
-        det = np.linalg.det(a)
-        worst_sq = max(worst_sq, abs(pf * pf - det) / max(abs(det), 1.0))
-    worst_st = 0.0
-    for m in range(2, 8):
-        for _ in range(5):
-            x = rng.uniform(-0.95, 0.95, size=m)
-            lhs, rhs = stembridge_pfaffian_pair(x)
-            worst_st = max(worst_st, abs(lhs - rhs))
-    rep = identity_suite(seed=13)
-    worst_ident = max(
-        rep["checks"][k]
-        for k in ("block-evaluation", "shuffle-sign", "de-bruijn", "block-pfaffian-is-det")
-    )
-    _report(6, "Pf^2 = det (dim <= 20)", worst_sq, 1e-9)
-    _report(6, "Stembridge both parities m <= 7", worst_st, 1e-10)
-    _report(6, "block/shuffle/de Bruijn identities", worst_ident, 1e-9)
-
-
-def test_criterion_07_skew_borel():
-    # moment-matrix instances; the 6x6 case is intrinsically ill-conditioned
-    # (cond ~ 1e11 at every parameter choice), so the two inverse paths are
-    # compared at extended precision, which validates the sub-Pfaffian
-    # formula itself rather than float64 round-off
-    import mpmath as mp
-
-    p = ModelParams(q=0.0, alpha=1.2, gamma=0.0, t=3.0)
-    worst_rec, worst_inv = 0.0, 0.0
-    mp.mp.dps = 40
-    for n in (2, 4, 6):
-        nmat = moment_matrix(n, p)
-        fac64 = skew_borel(nmat)
-        scale = np.max(np.abs(nmat))
-        worst_rec = max(
-            worst_rec, np.max(np.abs(fac64.reconstruct() - nmat)) / scale
-        )
-        nmp = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                nmp[i, j] = mp.mpc(nmat[i, j])
-        fac = skew_borel(nmp)
-        explicit = skew_borel_explicit_inverse(nmp)
-        prod = explicit @ fac.r
-        worst_inv = max(
-            worst_inv,
-            float(
-                max(
-                    abs(prod[i, j] - (1 if i == j else 0))
-                    for i in range(n)
-                    for j in range(n)
-                )
-            ),
-        )
-    _report(7, "skew-Borel reconstruction on moment matrices", worst_rec, 1e-10)
-    _report(7, "explicit sub-Pfaffian inverse vs factorization", worst_inv, 1e-9)
-
-
-def test_criterion_08_gt_decomposition():
-    worst = 0.0
-    p = ModelParams(q=0.0, alpha=0.6, gamma=0.0, t=0.8)
-    for (x, y) in (((3, 1), ()), ((5, 2), (6, 4))):
-        v, _ = gt_pattern_sum(x, y, 0.8, p)
-        f = tasep_transition_probability(y, x, 0.8, p)
-        worst = max(worst, abs(v - f))
-    v, _ = gt_pattern_sum((4, 2, 1), (), 0.8, p)
-    f = tasep_transition_probability((), (4, 2, 1), 0.8, p)
-    worst = max(worst, abs(v - f))
-    _report(8, "GT decomposition N=2 (M in {0,2}) and N=3 odd", worst, 1e-8)
-
-
-def test_criterion_09_kernel_recurrences():
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for alpha in (0.5, 1.3):
-        p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=0.9)
-        for _ in range(250):
-            i, j = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            s = int(rng.integers(1, 4))
-            xx = s + int(rng.integers(1, 5))
-            xj = int(rng.integers(1, 7))
-            if rng.integers(2):
-                lhs = kernel_Q(i + 1, j, s, xj, p) - kernel_Q(i + 1, j, xx, xj, p)
-                rhs = sum(kernel_Q(i, j, v, xj, p) for v in range(s, xx))
-            else:
-                lhs = kernel_Q(i, j + 1, xj, s, p) - kernel_Q(i, j + 1, xj, xx, p)
-                rhs = sum(kernel_Q(i, j, xj, v, p) for v in range(s, xx))
-            worst = max(worst, abs(lhs - rhs))
-            lhs = kernel_p(i + 1, s, p) - kernel_p(i + 1, xx, p)
-            rhs = sum(kernel_p(i, v, p) for v in range(s, xx))
-            worst = max(worst, abs(lhs - rhs))
-            nm = int(rng.integers(0, 3))
-            k = int(rng.integers(-2, 3))
-            lhs = kernel_U(k + 1, s, nm, p) - kernel_U(k + 1, xx, nm, p)
-            rhs = sum(kernel_U(k, v, nm, p) for v in range(s, xx))
-            worst = max(worst, abs(lhs - rhs))
-    anti = 0.0
-    p = ModelParams(q=0.0, alpha=0.7, gamma=0.0, t=1.1)
-    for _ in range(200):
-        a, b = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        x, y = int(rng.integers(1, 10)), int(rng.integers(1, 10))
-        anti = max(anti, abs(kernel_Q(a, b, x, y, p) + kernel_Q(b, a, y, x, p)))
-    _report(9, "finite kernel recurrences (500+ instances)", worst, 1e-11)
-    _report(9, "Q antisymmetry (200 tuples)", anti, 1e-12)
-
-
-def test_criterion_10_conditional_distribution():
-    p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
-    worst = 0.0
-    dist = oracle_distribution((), 1.0, p, s_max=17)
-    for labels, thr in (
-        ((1,), (4,)),
-        ((2,), (2,)),
-        ((2,), (4,)),
-        ((1, 2), (4, 2)),
-        ((1, 2), (3, 3)),
-    ):
-        f = conditional_distribution(labels, thr, 2, 0, (), 1.0, p)
-        o, _ = conditional_event_probability(dist, 2, labels, thr)
-        worst = max(worst, abs(f - o))
-    dist31 = oracle_distribution((6,), 1.0, p, s_max=17)
-    for labels, thr in (
-        ((2,), (3,)),
-        ((3,), (2,)),
-        ((1, 3), (4, 2)),
-        ((2, 3), (4, 1)),
-    ):
-        f = conditional_distribution(labels, thr, 3, 1, (6,), 1.0, p)
-        o, _ = conditional_event_probability(dist31, 3, labels, thr)
-        worst = max(worst, abs(f - o))
-    _report(10, "conditional Pfaffian vs oracle (N=2 M=0; N=3 M=1)", worst, 1e-6)
-
-    worst_k = 0.0
-    ens = correlation_kernel_bruteforce(2, 0, (), p, 16)
-    kern = conditional_kernel(2, 0, (), p)
-    for i in (1, 2):
-        for j in (1, 2):
-            for x1 in range(1, 7):
-                for x2 in range(1, 7):
-                    worst_k = max(
-                        worst_k,
-                        np.max(np.abs(
-                            ens.kernel_block(i, x1, j, x2) - kern.block(i, x1, j, x2)
-                        )),
-                    )
-    ens31 = correlation_kernel_bruteforce(3, 1, (6,), p, 20)
-    kern31 = conditional_kernel(3, 1, (6,), p)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for x1 in (1, 3, 5):
-                for x2 in (2, 4, 6):
-                    worst_k = max(
-                        worst_k,
-                        np.max(np.abs(
-                            ens31.kernel_block(i, x1, j, x2) - kern31.block(i, x1, j, x2)
-                        )),
-                    )
-    _report(10, "analytic kernel vs (J+L)^-1 brute force", worst_k, 1e-7)
-
-
-def test_criterion_11_fullspace_reduction():
-    y, x = (7, 5, 2), (9, 6, 3)
-    vals = []
-    for alpha in (0.3, 0.9):
-        p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=1.0)
-        vals.append(tasep_transition_probability(y, x, 1.0, p) * math.exp(alpha))
-    det = np.linalg.det(
-        [
-            [
-                complex(
-                    kernel_U(
-                        i - j, x[3 - i] - y[3 - j], 0,
-                        ModelParams(q=0.0, alpha=0.3, gamma=0.0, t=1.0),
-                    )
-                ).real
-                for j in (1, 2, 3)
-            ]
-            for i in (1, 2, 3)
-        ]
-    )
-    worst_alpha = max(abs(vals[0] - vals[1]), abs(vals[0] - det))
-    _report(11, "Schuetz determinant alpha-independence", worst_alpha, 1e-10)
-
-    y2 = (5, 3)
-    worst_fd = 0.0
-    for alpha in (0.0, 0.5):
-        p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=1.0)
-        f_pf = conditional_distribution((1, 2), (6, 4), 2, 2, y2, 1.0, p)
-        f_det = fullspace_distribution((1, 2), (6, 4), 2, y2, 1.0)
-        worst_fd = max(worst_fd, abs(f_pf - f_det))
-    _report(11, "Fredholm determinant vs conditional Pfaffian (M=N)", worst_fd, 1e-8)
-
-
-def test_criterion_12_monte_carlo():
-    t_start = time.time()
-    p = ModelParams(q=0.0, alpha=0.7, gamma=0.0, t=1.0)
-    emp = simulate((), 1.0, p, 1_000_000, seed=20260811)
-    targets = [()] + [(x,) for x in range(1, 7)] + _configs(5, 2) + [(3, 2, 1), (4, 2, 1), (4, 3, 2)]
-    assert len(targets) >= 20
-    worst_z = 0.0
-    for x in targets[:20]:
-        f = tasep_transition_probability((), x, 1.0, p)
-        z = abs(emp.probability(x) - f) / emp.stderr(x)
-        worst_z = max(worst_z, z)
-    emp2 = simulate((), 1.0, p, 1_000_000, seed=20260811)
-    assert emp.counts == emp2.counts, "fixed seed must reproduce bit-identical counts"
-    elapsed = time.time() - t_start
-    assert elapsed < 600, f"criterion 12 runtime {elapsed:.0f}s exceeds 10 min"
-    _report(12, f"Monte Carlo 4-sigma reproduction, 20 probabilities ({elapsed:.0f}s)", worst_z, 4.0)
-
-
-def test_criterion_13_vanishing_permutation_sum():
-    rng = np.random.default_rng(23)
-    worst = 0.0
-    for q in (0.2, 0.6):
-        p = ModelParams(q=q, alpha=0.6, gamma=0.0, t=1.0)
-        for n in (2, 3):
-            for _ in range(3):
-                x = tuple(sorted(rng.choice(range(1, 9), size=n, replace=False), reverse=True))
-                y = tuple(sorted(rng.choice(range(1, 9), size=n, replace=False), reverse=True))
-                worst = max(worst, tw_vanishing_sum(x, y, p))
-    _report(13, "vanishing permutation sum, N in {2,3}", worst, 1e-8)
+for _check in CHECKS:
+    globals()[f"test_{_check.name}"] = _acceptance_test(_check)

@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
+from hsep import verify
 from hsep.cli import main
 
 
@@ -28,6 +30,7 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["schema"] == 1
         assert payload["difference"] < 1e-9
+        assert "residual_im" not in payload  # nothing measures it
 
     def test_asep_prob(self, capsys):
         rc, out = run_cli(
@@ -160,10 +163,42 @@ class TestExitCodes:
         assert rc == 4
         assert "underflows" in capsys.readouterr().err
 
-    def test_verify_quick_passes(self, capsys):
-        rc, out = run_cli(["verify", "--level", "quick"], capsys)
+    def test_simulate_reaching_lattice_edge_is_4(self, capsys):
+        rc = main(
+            ["simulate", "--y", "60", "--alpha", "0", "--t", "20", "--n", "200", "--seed", "1"]
+        )
+        assert rc == 4
+        assert "site 62" in capsys.readouterr().err
+
+    def test_verify_quick_passes(self, capsys, tmp_path):
+        out_file = tmp_path / "verify.json"
+        rc, out = run_cli(["verify", "--level", "quick", "--out", str(out_file)], capsys)
         assert rc == 0
         assert "ALL CHECKS PASS" in out
+        report = json.loads(out_file.read_text())
+        assert report["level"] == "quick" and report["passed"] is True
+        names = [c["name"] for c in report["checks"]]
+        assert len(names) == len(out.splitlines()) - 1  # one entry per printed row
+        assert len(set(names)) == len(names)
+
+    def test_verify_failing_row_is_4(self, capsys, monkeypatch, tmp_path):
+        stub = verify.Check("stub", "quick", lambda: [("stub-row", 1.0, 0.5)])
+        monkeypatch.setattr(verify, "CHECKS", (stub,))
+        out_file = tmp_path / "verify.json"
+        rc, out = run_cli(["verify", "--out", str(out_file)], capsys)
+        assert rc == 4
+        assert "stub-row" in out and "FAIL" in out and "CHECKS FAILED" in out
+        report = json.loads(out_file.read_text())
+        assert report["passed"] is False
+        assert report["checks"] == [
+            {"name": "stub-row", "residual": 1.0, "threshold": 0.5, "passed": False}
+        ]
+
+    def test_verify_restores_mpmath_precision(self):
+        check = next(c for c in verify.CHECKS if c.name == "criterion_07_skew_borel")
+        dps = mp.mp.dps
+        assert all(row[3] for row in verify.evaluate(check))
+        assert mp.mp.dps == dps
 
     def test_entry_point_installed(self):
         proc = subprocess.run(
