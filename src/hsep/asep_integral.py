@@ -3,23 +3,23 @@ hyperoctahedral symmetrization.
 
 eval_F is the initial-data symmetrization (the Bethe-ansatz eigenvector of
 the generator) as its defining 2^N N! sum, kept as the reference; at q = 0 it
-dispatches to the Pfaffian limit (Stembridge block form).  Production
-evaluates F on tensor grids only: _grid_F (the partial-symmetrization form)
-at q > 0 and _grid_F_q0 (the Pfaffian limit, through
-pfaffian.matching_sum) at q = 0, and the scalar forms eval_F_alternative and
-eval_F_pfaffian_limit are one-point calls of them.  asep_transition_batch
-integrates the full multiple contour integrand on validated nested circles
-by trapezoid quadrature, batched so one integrand tensor serves every target
-configuration x; node doubling and the q -> 0 Richardson legs share one
-evaluation path and one gate on the imaginary residual.  The
+dispatches to the Pfaffian limit (Stembridge block form).  Production writes
+F as signed products of pair and single factors (_terms: the partial
+symmetrization at q > 0, the Stembridge block Pfaffian at q = 0) and sums
+them with one pairwise contraction against the x powers (_contract), which
+beyond N = 2 never forms the (nodes,)^N grid; eval_F_alternative and
+eval_F_pfaffian_limit are one-point contractions.  asep_transition_batch integrates the multiple
+contour integrand on validated nested circles by trapezoid quadrature, one
+contraction for every target x; node doubling and the q -> 0 Richardson legs
+share one evaluation path and one gate on the imaginary residual.  The
 supporting identities (eigenvector relation, symmetrization factorization,
-the t = 0 orthogonality, the vanishing permutation sum) are exposed as
-numerical tests.
+the t = 0 orthogonality, the vanishing permutation sum) are numerical tests.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -27,7 +27,6 @@ import numpy as np
 from .kernels import ModelParams
 from .markov_oracle import as_config, generator_row
 from .numerics import NestedContourFamily, QuadratureError, default_nested_contours
-from .pfaffian import matching_sum
 
 __all__ = [
     "signed_permutations",
@@ -144,7 +143,7 @@ def eval_F(y, w, params: ModelParams):
 def eval_F_alternative(y, w, params: ModelParams):
     """The partial-symmetrization form: sum over M-subsets and B_M only.
 
-    A one-point call of the grid evaluator that the quadrature runs.
+    A one-point contraction of the terms that the quadrature sums.
     """
     y = as_config(y)
     w = [complex(v) for v in w]
@@ -154,8 +153,7 @@ def eval_F_alternative(y, w, params: ModelParams):
     if params.q == 0.0:
         raise ValueError("use eval_F_pfaffian_limit at q = 0")
     _check_alphabet(w, params.q)
-    bufs = np.empty((2,) + (1,) * n, dtype=complex)
-    return complex(_grid_F(y, [np.array([v]) for v in w], params, bufs).reshape(()))
+    return _at_point(y, w, params)
 
 
 def eval_F_pfaffian_limit(y, w, params: ModelParams):
@@ -163,7 +161,7 @@ def eval_F_pfaffian_limit(y, w, params: ModelParams):
 
     Requires y_M > N - M + 1 (the separation under which the limit has the
     simple Pfaffian structure); matches the small-q limit of eval_F with no
-    extra constant.
+    extra constant.  A one-point contraction of the q = 0 terms.
     """
     y = as_config(y)
     w = [complex(v) for v in w]
@@ -172,7 +170,7 @@ def eval_F_pfaffian_limit(y, w, params: ModelParams):
         return 0.0 + 0.0j
     if m > 0 and y[-1] <= n - m + 1:
         raise ValueError("Pfaffian limit needs y_M > N - M + 1")
-    return complex(_grid_F_q0(y, [np.array([v]) for v in w], params).reshape(()))
+    return _at_point(y, w, replace(params, q=0.0))
 
 
 def bc_symmetrization_sum(w, q, m_fixed=0):
@@ -203,94 +201,132 @@ def bc_symmetrization_sum(w, q, m_fixed=0):
 # ---------------------------------------------------------------------------
 
 
-def _axis(arr, d, n):
-    """The 1-d array arr laid along axis d of an n-dimensional grid."""
-    sh = [1] * n
-    sh[d] = len(arr)
-    return arr.reshape(sh)
+def _parity(seq):
+    """(-1)^(number of inversions of seq)."""
+    return -1 if sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :]) % 2 else 1
 
 
-def _grid_F(y, nodes, params, bufs):
-    """eval_F on a tensor grid, vectorized via the partial-symmetrization form.
+def _terms(y, nodes, params):
+    """F on the grid of the 1-d node arrays nodes[d], as signed product terms.
 
-    nodes[d] is the 1-d node array of dimension d; returns an N-dimensional
-    array, computed in bufs (two arrays of the grid's shape, the result in
-    the second).
+    Yields (coef, pairs, singles), pairs mapping a < b to a (len(nodes[a]),
+    len(nodes[b])) array and singles d to a len(nodes[d]) array; F at grid
+    point k is the sum of coef * prod pairs[a, b][k_a, k_b] * prod
+    singles[d][k_d].  The terms of the partial symmetrization at q > 0, of
+    the Stembridge block Pfaffian at q = 0 (y separated).
     """
     y = as_config(y)
-    n = len(nodes)
-    m = len(y)
+    n, m = len(nodes), len(y)
     q, alpha = params.q, params.alpha
-    # signed[d][s]: the nodes of dimension d under sign s (0: w, 1: 1/(q w))
-    signed = [(w, 1.0 / (q * w)) for w in nodes]
-
-    def cross2(d1, s1, d2, s2):
-        a = _axis(signed[d1][s1], d1, n)
-        b = _axis(signed[d2][s2], d2, n)
-        return _cross(a, b, q)
-
-    total, term = bufs
-    if m == 0:
-        term.fill(alpha**n)
-        return term
-    total.fill(0.0)
+    coef = alpha ** (n - m)
+    if q == 0.0:
+        # Pf [[A, B], [-B^T, 0]], A_ab = (w_a - w_b)/(1 - w_a w_b), B = (ones column
+        # if N + M is odd, g_k(w_a)), expanded over the rows sigma(c) that B's columns
+        # meet.  By Schur's identity the rest of A has the Pfaffian prod A_ab, which
+        # cancels against the prefactor prod 1/A_ab.
+        ones = (n + m) % 2
+        inv_a = {(a, b): (1.0 - nodes[a][:, None] * nodes[b]) / (nodes[a][:, None] - nodes[b])
+                 for a, b in combinations(range(n), 2)}
+        g = [[(1.0 - alpha + alpha * w) * w ** (n - k) / (1.0 - w) ** y[k] for k in range(m)]
+             for w in nodes]
+        base = (-1) ** (math.comb(m, 2) + math.comb(m + ones, 2))
+        for sigma in permutations(range(n), m + ones):
+            rest = [d for d in range(n) if d not in sigma]
+            pairs = {ab: f for ab, f in inv_a.items() if not set(ab) <= set(rest)}
+            singles = {d: g[d][k] for k, d in enumerate(sigma[ones:])}
+            yield base * _parity(rest + list(sigma)) * coef, pairs, singles
+        return
+    signed = [(w, 1.0 / (q * w)) for w in nodes]  # w and 1/(q w)
     for tset in combinations(range(n), m):
-        rest = [j for j in range(n) if j not in tset]
+        rest = [(d, nodes[d]) for d in range(n) if d not in tset]
         for perm, signs in signed_permutations(m):
-            dims = [tset[perm[i] - 1] for i in range(m)]
-            ss = [0 if signs[i] > 0 else 1 for i in range(m)]
-            term.fill(1.0)
-            for i in range(m):
-                for j in range(i + 1, m):
-                    term *= cross2(dims[i], ss[i], dims[j], ss[j])
-                for jdim in rest:
-                    term *= cross2(dims[i], ss[i], jdim, 0)
-                phi = _phi_y(signed[dims[i]][ss[i]], y[i], q, alpha)
-                term *= _axis(phi, dims[i], n)
-            total += term
-    return np.multiply(alpha ** (n - m), total, out=term)
+            moved = [(tset[p - 1], signed[tset[p - 1]][s < 0]) for p, s in zip(perm, signs)]
+            pairs = {}
+            for i, (d1, v1) in enumerate(moved):
+                for d2, v2 in moved[i + 1 :] + rest:
+                    cross = _cross(v1[:, None], v2, q) if d1 < d2 else _cross(v1, v2[:, None], q)
+                    pairs[min(d1, d2), max(d1, d2)] = cross
+            singles = {d: _phi_y(v, yi, q, alpha) for (d, v), yi in zip(moved, y)}
+            yield coef, pairs, singles
 
 
-def _grid_F_q0(y, nodes, params):
-    """q = 0 limit of the symmetrization on a tensor grid (Pfaffian form)."""
-    y = as_config(y)
-    n = len(nodes)
-    m = len(y)
-    alpha = params.alpha
-    shape = tuple(len(v) for v in nodes)
-    odd = (n + m) % 2 == 1
-    dim = n + m + (1 if odd else 0)
-    mat = [[0.0] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                a, b = _axis(nodes[i], i, n), _axis(nodes[j], j, n)
-                mat[i][j] = (a - b) / (1.0 - a * b)
-    col = n
-    if odd:
-        for i in range(n):
-            mat[i][col] = 1.0
-            mat[col][i] = -1.0
-        col += 1
-    for k in range(m):
-        for i in range(n):
-            wv = nodes[i]
-            g = (1.0 - alpha + alpha * wv) * wv ** (n - k) / (1.0 - wv) ** y[k]
-            mat[i][col + k] = _axis(g, i, n)
-            mat[col + k][i] = -_axis(g, i, n)
-    prefactor = np.ones(shape, dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = _axis(nodes[i], i, n), _axis(nodes[j], j, n)
-            prefactor = prefactor * (1.0 - a * b) / (a - b)
-    sign = (-1.0) ** math.comb(m, 2)
-    return sign * alpha ** (n - m) * prefactor * matching_sum(mat)
+def _lay(f, axes, ndim):
+    """Array f with its axes at the increasing positions axes of ndim; scalars as they are."""
+    if not isinstance(f, np.ndarray):
+        return f
+    shape = [1] * ndim
+    for ax, size in zip(axes, f.shape):
+        shape[ax] = size
+    return f.reshape(shape)
 
 
-def _integrand_core(y, n, t, params, fam: NestedContourFamily, nodes, bufs):
-    """The x-independent part of the integrand, summed against quadrature
-    weights: returns (core array, per-dim base arrays for the x powers).
-    The grid arrays are computed in bufs, three arrays of the grid's shape."""
+def _contract(terms, pairs, singles, rows):
+    """The array over (v_1, ..., v_N) of sum_k prod_d rows[d][v_d, k_d] *
+    prod pairs * prod singles * sum_terms coef prod pairs prod singles.
+
+    pairs and singles are shared by every term, laid out as in _terms (an
+    absent factor is 1); rows[d] is a (V_d, len(nodes[d])) array.  For each
+    term the last two variables are summed by matrix products and the first
+    N - 2 stay a broadcast grid (all of them at N <= 2), whose shared factors
+    are applied once after the sum over terms.  Every shared single enters
+    before the sum over its variable: after it, it costs up to ten times the
+    roundoff on the q -> 0 legs, where it spans ten decades.
+    """
+    n = len(rows)
+    size = [r.shape[1] for r in rows]
+    g = n if n <= 2 else n - 2  # the grid variables; a and b are summed
+    a, b = g, g + 1
+    total = np.zeros(size[:g] + [len(r) for r in rows[g:]], dtype=complex)
+    grid = np.empty(size[:g], dtype=complex)
+    if n > 2:
+        left = np.empty(size[:g] + list(rows[a].shape), dtype=complex)
+        right = np.empty(size[:g] + [len(rows[a]), size[b]], dtype=complex)
+        shared_ab = pairs.get((a, b), 1.0) * _lay(singles.get(a, 1.0), (0,), 2)
+        shared_ab = np.broadcast_to(shared_ab * singles.get(b, 1.0), (size[a], size[b]))
+    for coef, tpairs, tsingles in terms:
+        grid.fill(coef)
+        for (i, j), f in tpairs.items():
+            if j < g:
+                grid *= _lay(f, (i, j), g)
+        for d, f in tsingles.items():
+            if d < g:
+                grid *= _lay(f, (d,), g)
+        if g == n:
+            total += grid
+            continue
+        left[...] = rows[a] * tsingles.get(a, 1.0)
+        for i in range(g):
+            left *= _lay(pairs.get((i, a), 1.0) * tpairs.get((i, a), 1.0), (i, g + 1), n)
+        # one BLAS product each over k_a and k_b (np.dot on an N-d array is not)
+        ab = shared_ab * tpairs.get((a, b), 1.0)
+        np.matmul(left.reshape(-1, size[a]), ab, out=right.reshape(-1, size[b]))
+        for i in range(g):
+            right *= _lay(pairs.get((i, b), 1.0) * tpairs.get((i, b), 1.0), (i, g + 1), n)
+        right *= tsingles.get(b, 1.0)
+        vv = right.reshape(-1, size[b]) @ rows[b].T
+        total += vv.reshape(total.shape) * _lay(grid, range(g), n)
+    shared = 1.0
+    for i, j in combinations(range(g), 2):
+        shared = shared * _lay(pairs.get((i, j), 1.0), (i, j), n)
+    for d in range(g):
+        shared = shared * _lay(singles.get(d, 1.0), (d,), n)
+    np.multiply(shared, total, out=total)  # operand order sets the rounding under FMA
+    for d in range(g):  # each new v axis goes first: reverse them at the end
+        total = np.tensordot(rows[d], total, axes=(1, d))
+    return total.transpose(list(range(g))[::-1] + list(range(g, n)))
+
+
+def _at_point(y, w, params):
+    """The symmetrization at one alphabet point, through _contract."""
+    ones = [np.ones((1, 1))] * len(w)
+    vals = _contract(_terms(y, [np.array([v]) for v in w], params), {}, {}, ones)
+    return complex(vals.reshape(()))
+
+
+def _integrand_core(y, n, t, params, fam: NestedContourFamily, nodes, sites):
+    """The arguments of _contract on the nodes: the terms of F, the inverted
+    cross factor, the per-variable factor times the trapezoid weight, and
+    per variable d the x powers for each value in sites[d]."""
     q, alpha = params.q, params.alpha
     node_arrays = []
     for d in range(n):
@@ -319,50 +355,23 @@ def _integrand_core(y, n, t, params, fam: NestedContourFamily, nodes, bufs):
             1.0 + (v - 1.0) * np.exp(1j * np.pi / (2 * nodes)) for v in node_arrays
         ]
 
-    # Factors accumulate in place, in the order of the written-out product,
-    # in arrays the caller keeps: a full-grid array is 14 MB at N = 3 and 96
-    # nodes, and a fresh one is faulted in again on every leg and doubling.
-    core = bufs[0]
-    core.fill(1.0)
     # inverted cross factor
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = _axis(node_arrays[i], i, n), _axis(node_arrays[j], j, n)
-            core *= b - a
-            core *= 1.0 - q * a * b
-            core /= (q * b - a) * (1.0 - a * b)
-    # per-variable factor (without the x power) and quadrature weight
-    for d in range(n):
-        w = node_arrays[d]
+    pairs = {}
+    for i, j in combinations(range(n), 2):
+        a, b = node_arrays[i][:, None], node_arrays[j][None, :]
+        pairs[i, j] = (b - a) * (1.0 - q * a * b) / ((q * b - a) * (1.0 - a * b))
+    # per-variable factor and trapezoid weight (center 1); x powers
+    singles, rows = {}, []
+    for d, (w, vs) in enumerate(zip(node_arrays, sites)):
         fac = (
             (1.0 - q * w * w)
             / (w * (q + alpha - 1.0 - alpha * w) * (1.0 - q * w))
             * np.exp((1.0 - q) ** 2 * w * t / ((1.0 - w) * (1.0 - q * w)))
         )
-        fac = fac * (w - 1.0) / nodes  # trapezoid weight, center 1
-        core *= _axis(fac, d, n)
-    # initial-data symmetrization
-    if q == 0.0:
-        core *= _grid_F_q0(y, node_arrays, params)
-    else:
-        core *= _grid_F(y, node_arrays, params, bufs[1:])
-    bases = [((1.0 - v) / (1.0 - q * v)) for v in node_arrays]
-    return core, bases
-
-
-def _contract(core, bases, xs):
-    """Contract the integrand tensor with per-dimension x powers for each x."""
-    n = core.ndim
-    site_values = sorted({x[d] for x in xs for d in range(n)})
-    pos = {v: i for i, v in enumerate(site_values)}
-    # result[v1, ..., vN] = sum core * prod_d bases[d]^(v_d - 1); tensordot
-    # puts each new index first, so after N folds the order is v_N, ..., v_1
-    cur = core
-    for d in range(n):
-        powers = np.array([bases[d] ** (v - 1) for v in site_values])
-        cur = np.tensordot(powers, cur, axes=([1], [d]))
-    cur = np.transpose(cur)
-    return {tuple(x): cur[tuple(pos[v] for v in x)] for x in xs}
+        singles[d] = fac * (w - 1.0) / nodes
+        base = (1.0 - w) / (1.0 - q * w)
+        rows.append(np.array([base ** (v - 1) for v in vs]))
+    return _terms(y, node_arrays, params), pairs, singles, rows
 
 
 def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
@@ -385,14 +394,12 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
     if n == 0:
         return {(): pref}, {"nodes": 0, "max_imag": 0.0}
 
-    bufs = None  # three grid arrays of the current node count, for every leg
+    sites = [sorted({x[d] for x in xs}) for d in range(n)]
+    pos = [{v: i for i, v in enumerate(vs)} for vs in sites]
 
     def values(pq, fam, m_nodes):
-        nonlocal bufs
-        if bufs is None or bufs.shape[1] != m_nodes:
-            bufs = np.empty((3,) + (m_nodes,) * n, dtype=complex)
-        core, bases = _integrand_core(y, n, t, pq, fam, m_nodes, bufs)
-        return {x: pref * v for x, v in _contract(core, bases, xs).items()}
+        vals = _contract(*_integrand_core(y, n, t, pq, fam, m_nodes, sites))
+        return {tuple(x): pref * vals[tuple(p[v] for p, v in zip(pos, x))] for x in xs}
 
     def finish(cur, nodes, **diag):
         max_imag = max(abs(v.imag) for v in cur.values())
@@ -493,40 +500,23 @@ def test_tw_vanishing_sum(x, y, params: ModelParams):
     n = len(x)
     if len(y) != n:
         raise ValueError("the vanishing sum needs M = N")
-    if n == 1:
-        return 0.0
     q = params.q
     nodes = 64
     theta = 2.0 * np.pi * (np.arange(nodes) + 0.37) / nodes
     wline = 1.0 + 0.08 * np.exp(1j * theta)
-    dw = wline - 1.0
-    shape = tuple(nodes for _ in range(n))
-    total = 0.0 + 0.0j
-    for perm in permutations(range(1, n + 1)):
-        if perm == tuple(range(1, n + 1)):
-            continue
-        inv = [0] * n
-        for i, pi in enumerate(perm):
-            inv[pi - 1] = i + 1
-        sign = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = np.ones(shape, dtype=complex) * sign
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    a = _axis(wline, perm[i] - 1, n)
-                    b = _axis(wline, perm[j] - 1, n)
-                    term = term * (a - q * b) / (b - q * a)
-        for i in range(n):
-            wv = wline
-            f = (
-                1.0
-                / ((1.0 - wv) * (1.0 - q * wv))
-                * ((1.0 - wv) / (1.0 - q * wv)) ** (x[i] - y[inv[i] - 1])
-            )
-            term = term * _axis(f * dw / nodes, i, n)
-        total += term.sum()
+    # the scattering factor (a - q b)/(b - q a) of an inverted pair, with a on
+    # the later variable: rows index the earlier variable, columns the later
+    inverted = (wline[None, :] - q * wline[:, None]) / (wline[:, None] - q * wline[None, :])
+    # ((1 - w)/(1 - q w))^e / ((1 - w)(1 - q w)), e = x_i - y_j, as powers of the
+    # accurate bases 1 - w and 1 - q w: the quotient's power costs ten times the error
+    one_w, one_qw = 1.0 - wline, 1.0 - q * wline
+    single = {(i, j): one_w ** (x[i] - y[j] - 1) * one_qw ** (y[j] - x[i] - 1)
+              for i in range(n) for j in range(n)}
+    terms = (
+        (_parity(p), {(p[j], p[i]): inverted for i, j in combinations(range(n), 2) if p[i] > p[j]},
+         {i: single[i, p.index(i)] for i in range(n)})
+        for p in permutations(range(n))
+        if p != tuple(range(n))
+    )
+    total = _contract(terms, {}, {}, [((wline - 1.0) / nodes)[None, :]] * n).sum()
     return abs((q - 1.0) ** n * total)

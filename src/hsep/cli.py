@@ -373,6 +373,9 @@ def main(argv=None):
     except (ValueError, ContourValidationError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except tf.PatternCapError as exc:
+        print(f"precondition violated: {exc} (--z-max / --cap)", file=sys.stderr)
+        return EXIT_PRECONDITION
     except (QuadratureError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -33,6 +33,7 @@ __all__ = [
     "joint_distribution",
     "boundary_current_probability",
     "GTPattern",
+    "PatternCapError",
     "enumerate_gt_patterns",
     "gt_pattern_sum",
     "w_measure",
@@ -212,6 +213,10 @@ def is_interlacing(rows):
     return True
 
 
+class PatternCapError(RuntimeError):
+    """The GT enumeration would exceed its pattern cap."""
+
+
 def enumerate_gt_patterns(x, z_max, cap=10**7):
     """All GT patterns with left edge x (decreasing) and entries <= z_max.
 
@@ -230,7 +235,7 @@ def enumerate_gt_patterns(x, z_max, cap=10**7):
         if k == n:
             count += 1
             if count > cap:
-                raise RuntimeError("GT pattern cap exceeded; lower z_max")
+                raise PatternCapError(f"more than {cap} GT patterns; lower z_max or raise cap")
             yield GTPattern(rows)
             return
         # build row k+1 (length k+1): first entry pinned to x_{k+1}

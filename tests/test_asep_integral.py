@@ -8,6 +8,7 @@ import pytest
 
 from hsep.asep_integral import (
     V_constant,
+    _contract,
     asep_transition_batch,
     asep_transition_probability,
     bc_symmetrization_sum,
@@ -75,9 +76,9 @@ class TestEvalF:
 
     def test_alternative_formula(self):
         rng = np.random.default_rng(3)
-        # every (N, M) with M >= 1 that the quadrature runs, N <= 3
+        # every (N, M) with M >= 1 that the quadrature runs, N <= 3, and N = 4
         cases = (((2,), 1), ((3,), 2), ((3, 1), 2), ((4,), 3), ((4, 2), 3),
-                 ((5, 3), 3), ((5, 3, 1), 3))
+                 ((5, 3), 3), ((5, 3, 1), 3), ((5, 3), 4), ((5, 3, 1), 4))
         for (y, n) in cases:
             w = alphabet(rng, n)
             a = eval_F(y, w, P)
@@ -102,7 +103,7 @@ class TestEvalF:
 
     def test_pfaffian_limit_matches_small_q(self):
         rng = np.random.default_rng(5)
-        for (y, n) in (((), 2), ((5,), 2), ((6, 4), 3)):
+        for (y, n) in (((), 2), ((5,), 2), ((6, 4), 3), ((8, 6, 4), 4)):
             w = alphabet(rng, n)
             lim = eval_F_pfaffian_limit(
                 y, w, ModelParams(q=0.0, alpha=0.6, gamma=0.0, t=1.0)
@@ -165,6 +166,15 @@ class TestTransitionQuadrature:
         for x, v in vals.items():
             assert abs(v - dist.probability(x)) < 1e-7
 
+    def test_n4_matches_oracle(self):
+        # N = 4 is the first N whose contraction keeps a grid of two variables
+        p = ModelParams(q=0.3, alpha=0.6, gamma=0.0, t=0.3)
+        dist = oracle_distribution((4, 2), 0.3, p, s_max=14)
+        xs = [tuple(sorted(s, reverse=True)) for s in combinations(range(1, 7), 4)]
+        vals, _ = asep_transition_batch((4, 2), 4, xs, 0.3, p, nodes=24)
+        for x, v in vals.items():
+            assert abs(v - dist.probability(x)) < 1e-9
+
     def test_q_zero_matches_pfaffian(self):
         p = ModelParams(q=0.0, alpha=0.6, gamma=0.0, t=0.5)
         v = asep_transition_probability((4, 2), (5, 3), 0.5, p, tol=1e-8, nodes=24)
@@ -182,6 +192,59 @@ class TestTransitionQuadrature:
         assert asep_transition_probability((), (), 0.7, p) == pytest.approx(
             math.exp(-0.42)
         )
+
+
+def _full_grid_sum(terms, pairs, singles, rows):
+    """The sum _contract computes, over the full N-dimensional node grid."""
+    n = len(rows)
+    size = [r.shape[1] for r in rows]
+
+    def lay(f, axes):
+        shape = [1] * n
+        for ax, s in zip(axes, np.shape(f)):
+            shape[ax] = s
+        return np.reshape(f, shape)
+
+    grid = np.zeros(size, dtype=complex)
+    for coef, tpairs, tsingles in terms:
+        term = np.full(size, coef, dtype=complex)
+        for ab, f in tpairs.items():
+            term = term * lay(f, ab)
+        for d, f in tsingles.items():
+            term = term * lay(f, (d,))
+        grid += term
+    for ab, f in pairs.items():
+        grid = grid * lay(f, ab)
+    for d, f in singles.items():
+        grid = grid * lay(f, (d,))
+    nodes, sites = "abcd"[:n], "ABCD"[:n]
+    spec = ",".join(s + k for s, k in zip(sites, nodes))
+    return np.einsum(f"{nodes},{spec}->{sites}", grid, *rows)
+
+
+class TestContraction:
+    def test_matches_full_grid_sum(self):
+        rng = np.random.default_rng(9)
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        for n in (1, 2, 3, 4):
+            size = [int(v) for v in rng.integers(5, 9, size=n)]
+            ab_all = list(combinations(range(n), 2))
+            pairs = {ab: cplx(size[ab[0]], size[ab[1]]) for ab in ab_all}
+            singles = {d: cplx(size[d]) for d in range(n) if d != 1}
+            rows = [cplx(int(rng.integers(1, 4)), s) for s in size]
+            terms = []
+            for _ in range(4):
+                # each term leaves some factors out (an absent factor is 1)
+                tp = {ab: cplx(size[ab[0]], size[ab[1]]) for ab in ab_all if rng.random() < 0.7}
+                ts = {d: cplx(size[d]) for d in range(n) if rng.random() < 0.7}
+                terms.append((complex(*rng.normal(size=2)), tp, ts))
+            got = _contract(iter(terms), pairs, singles, rows)
+            want = _full_grid_sum(terms, pairs, singles, rows)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 class TestVanishingSum:

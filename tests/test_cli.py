@@ -163,6 +163,12 @@ class TestExitCodes:
         assert rc == 4
         assert "underflows" in capsys.readouterr().err
 
+    def test_gt_cap_exceeded_is_3(self, capsys):
+        rc = main(["gt-sum", "--x", "5,3", "--cap", "10", "--alpha", "0.5", "--t", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "--z-max" in err and "--cap" in err
+
     def test_simulate_reaching_lattice_edge_is_4(self, capsys):
         rc = main(
             ["simulate", "--y", "60", "--alpha", "0", "--t", "20", "--n", "200", "--seed", "1"]

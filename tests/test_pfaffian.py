@@ -66,8 +66,8 @@ class TestPfaffian:
             assert abs(pfaffian(a) - pfaffian_definition(a)) < 1e-11
 
     def test_matching_sum_on_broadcast_grid(self):
-        # the q = 0 quadrature hands matching_sum rows of entries that vary
-        # along different grid axes, mixed with scalars
+        # matching_sum takes rows of entries that vary along different grid
+        # axes, mixed with scalars
         rng = np.random.default_rng(12)
         grid = (3, 4)
         shapes = [(3, 1), (1, 4), grid, ()]
