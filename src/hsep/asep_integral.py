@@ -384,6 +384,8 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
     ArithmeticError if a result keeps an imaginary part above max(tol, 1e-9).
     """
     params.require_exact()
+    if nodes < 1:
+        raise ValueError("nodes must be >= 1: with none, every pass sums to 0")
     y = as_config(y)
     xs = [as_config(x) for x in xs]
     if any(len(x) != n for x in xs):

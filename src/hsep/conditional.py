@@ -2,7 +2,8 @@
 
 Builds the skew-biorthogonal polynomial family (Phi) and the biorthogonal
 family (Upsilon) from the moment matrix of the universal kernel, assembles
-the four-part correlation kernel K = K0 - (KA + KB + KC), and evaluates the
+the correlation kernel K = K0 - (KA + KB + KC), whose finite-rank correction
+is one matrix product E C F^T over three rows per point, and evaluates the
 conditional joint distribution Pf(J - chi K chi) as a finite Pfaffian after
 the threshold projection.  A brute-force construction of the same kernel by
 dense inversion of the point-process (J + L) matrix on a truncated lattice
@@ -34,7 +35,7 @@ from .kernels import (
     rising,
 )
 from .markov_oracle import as_config
-from .pfaffian import pfaffian, skew_borel
+from .pfaffian import pfaffian, skew_borel, symplectic_j
 from .tasep_formulas import require_well_separated
 
 __all__ = [
@@ -223,54 +224,40 @@ def build_skew_biorthogonal(n, m, y, params: ModelParams):
 
 
 class ConditionalKernel:
-    """Evaluator of the 2x2-block correlation kernel K = K0 - (KA + KB + KC)."""
+    """The 2x2-block correlation kernel K = K0 - (KA + KB + KC).
+
+    The correction KA + KB + KC is a finite sum over Phi and Upsilon, so it
+    has rank at most 2(N + M) and is one product.  At a point z = (i, x)
+    take the rows, each of length N + M,
+
+        E(z) = (c a(z), xi(z)),   F(z) = (c b(z), xi(z)),   D(z) = (c d(z), 0),
+
+    with c = (Phi; Upsilon) the N x N e-basis coefficients,
+    a(z)_l = Q_{N-i+1,N-l+2}(x, 1) = (Psi_{(i,N)} star e_l)(x),
+    b(z)_l = Q_{N-l+2,N-i+1}(1, x) = (e_l star Psi_{(N,i)})(x),
+    d(z)_l = (e_l diamond phi_{-(i,N]})(x) = (x)_(i-l)/(i-l)! for l <= i,
+    and xi(z)_k = Xi^(i)_{N-k}(x).  With the core
+
+        C = [[S, 0, 0], [0, 0, I_M], [0, I_M, Upsilon N Upsilon^T]],
+
+    S = symplectic_j(N - M) pairing Phi_(2k) with Phi_(2k+1), the correction
+    block at (z1, z2) is [[E1 C F2, -E1 C D2], [D1 C F2, -D1 C D2]]: the S
+    block is KA, the identity blocks KB and the Gram block KC.
+    """
 
     def __init__(self, family: SkewBiorthogonalFamily):
         self.family = family
         self.params = family.params
         self.n = family.n
         self.m = family.m
-        self._memo = {}
-
-    # e-basis contractions ---------------------------------------------------
-
-    def _psi_star_row(self, i, coeffs, x):
-        """(Psi_{(i,N)} star poly)(x) = sum_l c_l Q_{N-i+1, N-l+2}(x, 1)."""
-        n = self.n
-        return sum(
-            coeffs[l - 1] * kernel_Q(n - i + 1, n - l + 2, x, 1, self.params)
-            for l in range(1, n + 1)
-            if coeffs[l - 1] != 0.0
-        )
-
-    def _row_star_psi(self, coeffs, j, x):
-        """(poly star Psi_{(N,j)})(x) = sum_l c_l Q_{N-l+2, N-j+1}(1, x)."""
-        n = self.n
-        return sum(
-            coeffs[l - 1] * kernel_Q(n - l + 2, n - j + 1, 1, x, self.params)
-            for l in range(1, n + 1)
-            if coeffs[l - 1] != 0.0
-        )
-
-    def _row_diamond_neg(self, coeffs, j, x):
-        """(poly diamond phi_{-(j,N]})(x) = sum_l c_l (x)_(j-l)/(j-l)!."""
-        total = 0.0
-        for l in range(1, self.n + 1):
-            c = coeffs[l - 1]
-            if c == 0.0 or l > j:
-                continue
-            total += c * float(rising(x, j - l)) / math.factorial(j - l)
-        return total
-
-    def _xi_upper(self, i, k, x):
-        key = ("xiu", i, k, x)
-        if key not in self._memo:
-            self._memo[key] = kernel_Xi_upper(
-                self.n, i, k, self.family.y[k - 1], x, self.params
-            )
-        return self._memo[key]
-
-    # kernel parts -------------------------------------------------------------
+        nm, m = self.n - self.m, self.m
+        self.coef = np.vstack([family.phi, family.upsilon])
+        core = np.zeros((nm + 2 * m, nm + 2 * m), dtype=complex)
+        core[:nm, :nm] = symplectic_j(nm)
+        core[nm : nm + m, nm + m :] = np.eye(m)
+        core[nm + m :, nm : nm + m] = np.eye(m)
+        core[nm + m :, nm + m :] = family.upsilon @ family.nmat @ family.upsilon.T
+        self.core = core
 
     def k0(self, i, x1, j, x2):
         n = self.n
@@ -279,80 +266,43 @@ class ConditionalKernel:
         b21 = phi_conv(j, i, x2, x1) if j < i else 0.0
         return np.array([[b11, b12], [b21, 0.0]], dtype=complex)
 
-    def ka(self, i, x1, j, x2):
-        fam = self.family
-        nm = self.n - self.m
-        out = np.zeros((2, 2), dtype=complex)
-        for k in range(nm // 2):
-            even, odd = fam.phi[2 * k], fam.phi[2 * k + 1]
-            le = self._psi_star_row(i, even, x1)
-            lo = self._psi_star_row(i, odd, x1)
-            re = self._row_star_psi(even, j, x2)
-            ro = self._row_star_psi(odd, j, x2)
-            ne1 = self._row_diamond_neg(even, i, x1)
-            no1 = self._row_diamond_neg(odd, i, x1)
-            ne2 = self._row_diamond_neg(even, j, x2)
-            no2 = self._row_diamond_neg(odd, j, x2)
-            out[0, 0] += le * ro - lo * re
-            out[0, 1] += -(le * no2 - lo * ne2)
-            out[1, 0] += ne1 * ro - no1 * re
-            out[1, 1] += -(ne1 * no2 - no1 * ne2)
-        return out
+    def _rows(self, points):
+        """The rows E, F and D of every point, each a (P, N + M) array."""
+        n, y, params = self.n, self.family.y, self.params
+        span = range(1, n + 1)
+        a = [[kernel_Q(n - i + 1, n - l + 2, x, 1, params) for l in span] for i, x in points]
+        b = [[kernel_Q(n - l + 2, n - i + 1, 1, x, params) for l in span] for i, x in points]
+        d = [[_basis_poly(l, i, x) if l <= i else 0.0 for l in span] for i, x in points]
+        xi = np.array(
+            [[kernel_Xi_upper(n, i, k, y[k - 1], x, params) for k in range(1, self.m + 1)]
+             for i, x in points],
+            dtype=complex,
+        ).reshape(len(points), self.m)
+        ct = self.coef.T
+        return (
+            np.hstack([np.array(a) @ ct, xi]),
+            np.hstack([np.array(b) @ ct, xi]),
+            np.hstack([np.array(d) @ ct, np.zeros_like(xi)]),
+        )
 
-    def kb(self, i, x1, j, x2):
-        fam = self.family
-        out = np.zeros((2, 2), dtype=complex)
-        for k in range(1, self.m + 1):
-            ups = fam.upsilon[k - 1]
-            xi_i = self._xi_upper(i, k, x1)
-            xi_j = self._xi_upper(j, k, x2)
-            out[0, 0] += xi_i * self._row_star_psi(ups, j, x2)
-            out[0, 0] += self._psi_star_row(i, ups, x1) * xi_j
-            out[0, 1] += -xi_i * self._row_diamond_neg(ups, j, x2)
-            out[1, 0] += self._row_diamond_neg(ups, i, x1) * xi_j
-        return out
-
-    def kc(self, i, x1, j, x2):
-        fam = self.family
-        out = np.zeros((2, 2), dtype=complex)
-        if self.m == 0:
-            return out
-        gram = fam.upsilon @ fam.nmat @ fam.upsilon.T  # = M^{-1}
-        for k in range(1, self.m + 1):
-            for l in range(1, self.m + 1):
-                out[0, 0] += (
-                    self._xi_upper(i, k, x1)
-                    * gram[k - 1, l - 1]
-                    * self._xi_upper(j, l, x2)
-                )
-        return out
+    def matrix(self, points):
+        """The 2P x 2P matrix of the blocks K(z_a; z_b) over points z = (i, x)."""
+        e, f, d = self._rows(points)
+        left = np.stack([e, d], axis=1).reshape(2 * len(points), -1)
+        right = np.stack([f, -d], axis=1).reshape(2 * len(points), -1)
+        mat = -(left @ self.core @ right.T)
+        for a, (i, x1) in enumerate(points):
+            for b, (j, x2) in enumerate(points):
+                mat[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] += self.k0(i, x1, j, x2)
+        return mat
 
     def block(self, i, x1, j, x2):
         """The 2x2 kernel block K(i, x1; j, x2)."""
-        return (
-            self.k0(i, x1, j, x2)
-            - self.ka(i, x1, j, x2)
-            - self.kb(i, x1, j, x2)
-            - self.kc(i, x1, j, x2)
-        )
+        return self.matrix([(i, x1), (j, x2)])[:2, 2:]
 
 
 def conditional_kernel(n, m, y, params: ModelParams):
     return ConditionalKernel(build_skew_biorthogonal(n, m, y, params))
-
-
-def _pf_from_blocks(points, blockfn):
-    """Pf of the 2x2-block matrix [blockfn(z_i, z_j)] over the point list."""
-    npts = len(points)
-    mat = np.zeros((2 * npts, 2 * npts), dtype=complex)
-    for a in range(npts):
-        for b in range(a, npts):
-            blk = blockfn(points[a], points[b])
-            mat[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] = blk
-            if b > a:
-                mat[2 * b : 2 * b + 2, 2 * a : 2 * a + 2] = -blk.T
-    mat = (mat - mat.T) / 2.0  # clean the diagonal blocks' symmetric noise
-    return pfaffian(mat)
 
 
 def conditional_distribution(p_labels, a_thresholds, n, m, y, t, params: ModelParams):
@@ -379,15 +329,13 @@ def conditional_distribution(p_labels, a_thresholds, n, m, y, t, params: ModelPa
     if not points:
         return 1.0
 
-    jmat = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    def blockfn(z1, z2):
-        blk = -kernel.block(z1[0], z1[1], z2[0], z2[1])
-        if z1 == z2:
-            blk = blk + jmat
-        return blk
-
-    value = _pf_from_blocks(points, blockfn)
+    same = np.array([[za == zb for zb in points] for za in points])
+    mat = np.kron(same, [[0.0, 1.0], [-1.0, 0.0]]) - kernel.matrix(points)
+    # K is skew only up to rounding: take the blocks above the diagonal and
+    # mirror them, then clean the diagonal blocks' symmetric noise
+    blocks = np.arange(len(mat)) // 2
+    mat = np.where(blocks[:, None] > blocks[None, :], -mat.T, mat)
+    value = pfaffian((mat - mat.T) / 2.0)
     if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
         raise ArithmeticError(f"conditional Pfaffian has imaginary part {value.imag:g}")
     return value.real

@@ -19,9 +19,9 @@ poles, one Poisson-weighted sum evaluated here for all six kernels:
 In Q the coupling factor (u-w)/(1-u-w) is expanded in powers of w, which
 turns the double integral into the contraction of two memoized rows of
 such annulus coefficients, one per (a, x) and one per (b, y).  Torus
-quadrature with unequal radii (``kernel_Q_quadrature``, ``kernel_p_quadrature``)
-and per-pole jet residues through ``hsep.numerics.residue_at``
-(``tests/residue_oracle.py``) are the independent cross-check paths.
+quadrature with unequal radii (``tests/test_kernels.py``) and per-pole jet
+residues through ``hsep.numerics.residue_at`` (``tests/residue_oracle.py``)
+are the independent cross-check paths.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ __all__ = [
     "kernel_Xi",
     "kernel_Xi_upper",
     "kernel_Xi_virtual",
-    "kernel_Q_quadrature",
-    "kernel_p_quadrature",
     "phi_conv",
     "phi_neg",
     "phi_virtual",
@@ -161,22 +159,6 @@ class KernelTable:
             self.memo[key] = self._annulus(1, i, x)
         return self.memo[key]
 
-    def u(self, k, z, n_minus_m):
-        """U_k(z): residues at the origin and (for k > N-M) at w = 1.
-
-        The (w-1)^(N-M-k) factor has a pole at 1 once k exceeds N-M; the
-        contour must enclose it along with the origin — that choice is what
-        makes the summation recurrence U_{k+1}(z) = sum_{y>=z} U_k(y) hold
-        and the general-initial-data Pfaffians match the Markov oracle.
-        With the 1-pole absent and z - k + N - M + 1 <= 0 the kernel is 0.
-        """
-        key = ("U", k, z, n_minus_m)
-        if key not in self.memo:
-            m = k - n_minus_m
-            expo = z - k + n_minus_m + 1
-            self.memo[key] = self._annulus(0, m, expo + m - 1)
-        return self.memo[key]
-
     # -- the double-contour kernel ------------------------------------------
 
     def _support(self):
@@ -240,49 +222,18 @@ class KernelTable:
             self.memo[key] = complex(self.params.alpha**2 * total)
         return self.memo[key]
 
-    # -- initial-data kernels -------------------------------------------------
-    #
-    # (1-u)^(-m) = (-1)^m (u-1)^(-m), so each sign below is the kernel's own
-    # sign times the one that turns its (1-u) power into a (u-1) power.
+    # -- U and the initial-data kernels ----------------------------------------
 
-    def xi(self, n, k, y_k, z):
-        """Xi_{N-k}(z) = (-1)^k * residue at 0 of (w-1)^(N-k) e^(t(w-1)) / w^(z-y_k+N-k+1).
+    def annulus(self, m, j0):
+        """Memoized _annulus(0, m, j0): the integral around all the poles of
 
-        For k <= N the origin is the only pole.
+            (w-1)^(-m) e^(t(w-1)) / w^(j0-m+1).
+
+        U_k and the three Xi kernels are each one such coefficient.
         """
-        if k > n:
-            raise ValueError("Xi_{N-k} needs k <= N")
-        key = ("Xi", n, k, y_k, z)
+        key = ("ann", m, j0)
         if key not in self.memo:
-            m = k - n
-            expo = z - y_k + n - k + 1
-            self.memo[key] = (-1.0) ** k * self._annulus(0, m, expo + m - 1)
-        return self.memo[key]
-
-    def xi_upper(self, n, i, k, y_k, x):
-        """Xi^(i)_{N-k}(x) = phi_{(i,N]} * Xi_{N-k}, as the closed contour form.
-
-        (-1)^i times the integral over a contour around both 0 and 1 of
-        (1-u)^(i-k) e^(t(u-1)) / u^(x-y_k+i-k+1).
-        """
-        key = ("XiU", n, i, k, y_k, x)
-        if key not in self.memo:
-            m = k - i
-            expo = x - y_k + i - k + 1
-            self.memo[key] = (-1.0) ** k * self._annulus(0, m, expo + m - 1)
-        return self.memo[key]
-
-    def xi_virtual(self, n, i, k, y_k):
-        """Xi^[i)_{N-k}(dagger_i): the virtual-coordinate pairing.
-
-        (-1)^(i+1) times the integral over a contour around both 0 and 1 of
-        (1-u)^(i-k-1) e^(t(u-1)) / u^(i-k+1-y_k).
-        """
-        key = ("XiV", n, i, k, y_k)
-        if key not in self.memo:
-            m = k + 1 - i
-            expo = i - k + 1 - y_k
-            self.memo[key] = (-1.0) ** k * self._annulus(0, m, expo + m - 1)
+            self.memo[key] = self._annulus(0, m, j0)
         return self.memo[key]
 
 
@@ -303,57 +254,49 @@ def kernel_p(i, x, params):
 
 
 def kernel_U(k, z, n_minus_m, params):
-    return table_for(params).u(k, z, n_minus_m)
+    """U_k(z): residues at the origin and (for k > N-M) at w = 1.
+
+    The (w-1)^(N-M-k) factor has a pole at 1 once k exceeds N-M; the
+    contour must enclose it along with the origin — that choice is what
+    makes the summation recurrence U_{k+1}(z) = sum_{y>=z} U_k(y) hold
+    and the general-initial-data Pfaffians match the Markov oracle.
+    With the 1-pole absent and z - k + N - M + 1 <= 0 the kernel is 0.
+    """
+    return table_for(params).annulus(k - n_minus_m, z)
+
+
+# The three Xi kernels below carry (-1)^k: (1-u)^(-m) = (-1)^m (u-1)^(-m),
+# so each is its own sign times the one that turns its (1-u) power into a
+# (u-1) power.  Xi_{N-k} is Xi^(N)_{N-k}, and Xi^[i)_{N-k}(dagger_i) is
+# Xi^(i-1)_{N-k}(1).
 
 
 def kernel_Xi(n, k, y_k, z, params):
-    return table_for(params).xi(n, k, y_k, z)
+    """Xi_{N-k}(z) = (-1)^k * residue at 0 of (w-1)^(N-k) e^(t(w-1)) / w^(z-y_k+N-k+1).
+
+    For k <= N the origin is the only pole.
+    """
+    if k > n:
+        raise ValueError("Xi_{N-k} needs k <= N")
+    return (-1.0) ** k * table_for(params).annulus(k - n, z - y_k)
 
 
 def kernel_Xi_upper(n, i, k, y_k, x, params):
-    return table_for(params).xi_upper(n, i, k, y_k, x)
+    """Xi^(i)_{N-k}(x) = phi_{(i,N]} * Xi_{N-k}, as the closed contour form.
+
+    (-1)^i times the integral over a contour around both 0 and 1 of
+    (1-u)^(i-k) e^(t(u-1)) / u^(x-y_k+i-k+1).
+    """
+    return (-1.0) ** k * table_for(params).annulus(k - i, x - y_k)
 
 
 def kernel_Xi_virtual(n, i, k, y_k, params):
-    return table_for(params).xi_virtual(n, i, k, y_k)
+    """Xi^[i)_{N-k}(dagger_i): the virtual-coordinate pairing.
 
-
-# -- quadrature cross-check path ----------------------------------------------
-
-
-def _torus_radii(params):
-    a = params.alpha
-    rw = max(1.0, a, abs(1.0 - a)) + 0.5
-    return rw, rw + 2.0
-
-
-def kernel_Q_quadrature(a, b, x, y, params, nodes=256):
-    """Q_{a,b}(x,y) by trapezoid quadrature on circles |w| = R_w, |u| = R_u.
-
-    R_u = R_w + 2 keeps the coupling pole w = 1 - u outside the inner circle
-    for every outer node, so this integrates the same iterated-contour object
-    as the residue path, fully independently.
+    (-1)^(i+1) times the integral over a contour around both 0 and 1 of
+    (1-u)^(i-k-1) e^(t(u-1)) / u^(i-k+1-y_k).
     """
-    params.require_exact()
-    al, t = params.alpha, params.t
-    rw, ru = _torus_radii(params)
-    w = rw * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    u = ru * np.exp(2j * np.pi * (np.arange(nodes) + 0.5) / nodes)
-    wg, ug = np.meshgrid(w, u)
-    f1 = wg ** (a - x) * np.exp(t * (wg - 1.0)) / ((wg - al) * (wg - 1.0) ** a)
-    f2 = ug ** (b - y) * np.exp(t * (ug - 1.0)) / ((ug - al) * (ug - 1.0) ** b)
-    coupling = (ug - wg) / (1.0 - ug - wg)
-    val = np.sum(f1 * f2 * coupling * wg * ug) / nodes**2
-    return al**2 * val
-
-
-def kernel_p_quadrature(i, x, params, nodes=256):
-    params.require_exact()
-    al, t = params.alpha, params.t
-    rw, _ = _torus_radii(params)
-    w = rw * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    f = w ** (i - x) * np.exp(t * (w - 1.0)) / ((w - al) * (w - 1.0) ** i)
-    return np.sum(f * w) / nodes
+    return (-1.0) ** k * table_for(params).annulus(k + 1 - i, 1 - y_k)
 
 
 # -- binomial convolution algebra ---------------------------------------------

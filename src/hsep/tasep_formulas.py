@@ -316,6 +316,8 @@ def gt_pattern_sum(x, y, t, params: ModelParams, z_max=None, cap=10**7):
         raise ValueError("GT decomposition with M > 0 needs N + M even")
     if z_max is None:
         z_max = suggest_z_max(x, t)
+    if x and z_max < x[0]:
+        raise ValueError(f"z_max = {z_max} is below x_1 = {x[0]}: no GT pattern fits")
     sign = (-1.0) ** math.comb(n, 2) * math.exp(-params.alpha * t)
     if (n + m) % 2 == 1:
         sign *= params.alpha

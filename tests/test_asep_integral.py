@@ -187,6 +187,15 @@ class TestTransitionQuadrature:
         v = asep_transition_probability((2, 1), (4, 2, 1), 0.5, p, tol=1e-7, nodes=24)
         assert abs(v - dist.probability((4, 2, 1))) < 1e-7
 
+    def test_nodes_below_one_refused(self):
+        # with no nodes every pass sums to 0, and two passes agree at once
+        p = ModelParams(q=0.3, alpha=0.5, gamma=0.0, t=1.0)
+        for nodes in (0, -4):
+            with pytest.raises(ValueError, match="nodes"):
+                asep_transition_batch((), 1, [(1,)], 1.0, p, nodes=nodes)
+        v = asep_transition_probability((), (1,), 1.0, p, nodes=1)
+        assert v == pytest.approx(0.2476, abs=1e-4)
+
     def test_n_zero(self):
         p = ModelParams(q=0.3, alpha=0.6, gamma=0.0, t=0.7)
         assert asep_transition_probability((), (), 0.7, p) == pytest.approx(

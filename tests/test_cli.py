@@ -169,6 +169,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--z-max" in err and "--cap" in err
 
+    def test_asep_nodes_below_one_is_3(self, capsys):
+        rc = main(
+            ["asep-prob", "--x", "1", "--alpha", "0.5", "--t", "1", "--q", "0.3", "--nodes", "0"]
+        )
+        assert rc == 3
+        assert "nodes" in capsys.readouterr().err
+
+    def test_gt_zmax_below_left_edge_is_3(self, capsys):
+        rc = main(["gt-sum", "--x", "4,2,1", "--alpha", "0.5", "--t", "1", "--z-max", "3"])
+        assert rc == 3
+        assert "z_max" in capsys.readouterr().err
+
     def test_simulate_reaching_lattice_edge_is_4(self, capsys):
         rc = main(
             ["simulate", "--y", "60", "--alpha", "0", "--t", "20", "--n", "200", "--seed", "1"]

@@ -218,14 +218,25 @@ class TestKernelAgreement:
             assert np.max(np.abs(blk + swapped.T)) < 1e-10
 
     def test_free_parameter_invariance(self):
+        # Phi_1 -> Phi_1 + c Phi_0 keeps the skew pairing; of the kernel's
+        # parts only KA depends on Phi, so the whole block must not move
         fam = build_skew_biorthogonal(2, 0, (), P)
         kern = ConditionalKernel(fam)
-        base = kern.ka(1, 2, 2, 3)
+        base = kern.block(1, 2, 2, 3)
         fam2 = build_skew_biorthogonal(2, 0, (), P)
         fam2.phi = fam2.phi.copy()
         fam2.phi[1] = fam2.phi[1] + 0.7 * fam2.phi[0]
         kern2 = ConditionalKernel(fam2)
-        assert np.max(np.abs(kern2.ka(1, 2, 2, 3) - base)) < 1e-12
+        assert np.max(np.abs(kern2.block(1, 2, 2, 3) - base)) < 1e-12
+
+    def test_matrix_is_the_blocks(self):
+        kern = conditional_kernel(4, 2, (9, 7), P)
+        points = [(1, 2), (4, 1), (2, 3)]
+        mat = kern.matrix(points)
+        for a, za in enumerate(points):
+            for b, zb in enumerate(points):
+                blk = kern.block(*za, *zb)
+                assert np.max(np.abs(mat[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] - blk)) < 1e-12
 
     def test_k0_off_diagonal_indicator(self):
         kern = conditional_kernel(2, 0, (), P)
@@ -252,6 +263,25 @@ class TestConditionalDistribution:
             f = conditional_distribution(labels, thr, 3, 1, (6,), 1.0, P)
             o, _ = conditional_event_probability(dist, 3, labels, thr)
             assert abs(f - o) < 1e-9
+
+    @pytest.mark.parametrize(
+        "n, m, y, s_max, events",
+        [
+            # M = N: the core has no S block
+            (3, 3, (7, 5, 3), 20, [((1, 3), (8, 3)), ((2,), (6,)), ((1, 2, 3), (7, 5, 2))]),
+            # both the S block and the Upsilon blocks
+            (4, 2, (9, 7), 20, [((1, 4), (9, 2)), ((2, 3), (7, 4)), ((3,), (5,))]),
+            # M = 0: the S block only
+            (4, 0, (), 18, [((1, 4), (5, 1)), ((2, 3), (3, 2)), ((4,), (2,))]),
+        ],
+    )
+    def test_coupled_labels_vs_oracle(self, n, m, y, s_max, events):
+        p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.5)
+        dist = oracle_distribution(y, 1.5, p, s_max=s_max)
+        for labels, thr in events:
+            f = conditional_distribution(labels, thr, n, m, y, 1.5, p)
+            o, _ = conditional_event_probability(dist, n, labels, thr)
+            assert abs(f - o) < 1e-9 + dist.tail_bound
 
     def test_monotone_in_thresholds(self):
         vals = [

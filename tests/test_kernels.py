@@ -10,9 +10,7 @@ import residue_oracle as per_pole
 from hsep.kernels import (
     ModelParams,
     kernel_p,
-    kernel_p_quadrature,
     kernel_Q,
-    kernel_Q_quadrature,
     kernel_U,
     kernel_Xi,
     kernel_Xi_upper,
@@ -25,6 +23,44 @@ from hsep.kernels import (
 )
 
 P = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
+
+
+# -- torus quadrature: the independent cross-check of the annulus path -------
+
+
+def _torus_radii(params):
+    a = params.alpha
+    rw = max(1.0, a, abs(1.0 - a)) + 0.5
+    return rw, rw + 2.0
+
+
+def kernel_Q_quadrature(a, b, x, y, params, nodes=256):
+    """Q_{a,b}(x,y) by trapezoid quadrature on circles |w| = R_w, |u| = R_u.
+
+    R_u = R_w + 2 keeps the coupling pole w = 1 - u outside the inner circle
+    for every outer node, so this integrates the same iterated-contour object
+    as the residue path, fully independently.
+    """
+    params.require_exact()
+    al, t = params.alpha, params.t
+    rw, ru = _torus_radii(params)
+    w = rw * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    u = ru * np.exp(2j * np.pi * (np.arange(nodes) + 0.5) / nodes)
+    wg, ug = np.meshgrid(w, u)
+    f1 = wg ** (a - x) * np.exp(t * (wg - 1.0)) / ((wg - al) * (wg - 1.0) ** a)
+    f2 = ug ** (b - y) * np.exp(t * (ug - 1.0)) / ((ug - al) * (ug - 1.0) ** b)
+    coupling = (ug - wg) / (1.0 - ug - wg)
+    val = np.sum(f1 * f2 * coupling * wg * ug) / nodes**2
+    return al**2 * val
+
+
+def kernel_p_quadrature(i, x, params, nodes=256):
+    params.require_exact()
+    al, t = params.alpha, params.t
+    rw, _ = _torus_radii(params)
+    w = rw * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    f = w ** (i - x) * np.exp(t * (w - 1.0)) / ((w - al) * (w - 1.0) ** i)
+    return np.sum(f * w) / nodes
 
 
 class TestQKernel:

@@ -164,6 +164,13 @@ class TestGTDecomposition:
         v2, _ = gt_pattern_sum((3, 1), (), 0.8, P, z_max=z + 5)
         assert abs(v1 - v2) < 1e-12
 
+    def test_z_max_below_left_edge_refused(self):
+        # every top row has an entry >= x_1, so no pattern fits below it
+        with pytest.raises(ValueError, match="z_max"):
+            gt_pattern_sum((4, 2, 1), (), 1.0, P, z_max=3)
+        v, _ = gt_pattern_sum((4, 2, 1), (), 1.0, P, z_max=4)
+        assert v > 0.0
+
     def test_pattern_cap(self):
         with pytest.raises(RuntimeError):
             list(enumerate_gt_patterns((9, 5, 1), 40, cap=10))
