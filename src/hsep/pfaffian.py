@@ -62,8 +62,10 @@ def as_skew(entries, symmetrize=False):
 def pfaffian(m):
     """Pfaffian of a skew-symmetric matrix; odd dimension returns 0.
 
-    Satisfies pfaffian(M)^2 = det(M).  Matrices whose pivots all fall below
-    1e-13 * scale are reported as singular (Pfaffian 0).
+    Satisfies pfaffian(M)^2 = det(M).  It is 0 only on an exactly zero pivot
+    column: partial pivoting keeps every multiplier at most 1 in modulus, so
+    small pivots are safe and tiny or widely scaled matrices keep their
+    relative accuracy.
     """
     a = as_skew(m)
     n = a.shape[0]
@@ -72,7 +74,6 @@ def pfaffian(m):
     if n % 2 == 1:
         return 0.0 + 0.0j
     a = a.copy()
-    scale = max(np.max(np.abs(a)), 1.0)
     pf = a.flat[0] * 0 + 1.0  # one, at the entry precision
     for k in range(0, n - 1, 2):
         col = np.abs(a[k + 1 :, k])
@@ -82,7 +83,7 @@ def pfaffian(m):
             a[:, [k + 1, kp]] = a[:, [kp, k + 1]]
             pf = -pf
         pivot = a[k + 1, k]
-        if abs(pivot) <= _PIVOT_TOL * scale:
+        if pivot == 0:
             return 0.0 + 0.0j
         pf *= a[k, k + 1]
         if k + 2 < n:

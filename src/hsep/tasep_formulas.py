@@ -13,7 +13,9 @@ oracle throughout the tests.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .kernels import (
     kernel_p,
 )
 from .markov_oracle import as_config
-from .pfaffian import pfaffian
+from .pfaffian import matching_sum, pfaffian
 
 __all__ = [
     "require_well_separated",
@@ -44,10 +46,12 @@ _IMAG_TOL = 1e-9
 
 
 def _real(value, what="Pfaffian value"):
-    v = complex(value)
-    if abs(v.imag) > _IMAG_TOL * max(1.0, abs(v)):
-        raise ArithmeticError(f"{what} has imaginary part {v.imag:g}")
-    return v.real
+    """The real part of a value (or array of values) with a negligible imaginary part."""
+    v = np.asarray(value, dtype=complex)
+    bad = np.abs(v.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(v))
+    if bad.any():
+        raise ArithmeticError(f"{what} has imaginary part {v.imag[bad].flat[0]:g}")
+    return v.real if v.ndim else float(v.real)
 
 
 def require_well_separated(y, n):
@@ -217,6 +221,14 @@ class PatternCapError(RuntimeError):
     """The GT enumeration would exceed its pattern cap."""
 
 
+def _rows_above(prev, first, z_max):
+    """The rows that interlace above prev (row k + 1 over row k): z_1 = first,
+    prev_(i-1) <= z_i < prev_i and prev_k <= z_(k+1) <= z_max.  A strictly
+    decreasing left edge gives first < prev_1, the remaining condition."""
+    bounds = [*(b - 1 for b in prev[1:]), z_max]
+    return itertools.product((first,), *(range(lo, hi + 1) for lo, hi in zip(prev, bounds)))
+
+
 def enumerate_gt_patterns(x, z_max, cap=10**7):
     """All GT patterns with left edge x (decreasing) and entries <= z_max.
 
@@ -238,28 +250,29 @@ def enumerate_gt_patterns(x, z_max, cap=10**7):
                 raise PatternCapError(f"more than {cap} GT patterns; lower z_max or raise cap")
             yield GTPattern(rows)
             return
-        # build row k+1 (length k+1): first entry pinned to x_{k+1}
-        prev = rows[-1] if rows else ()
-        row = [x[k]]
-
-        def fill(i):
-            # choose entry i (0-based) of the new row, i >= 1
-            if i == k + 1:
-                if not rows or all(
-                    row[j] < prev[j] <= row[j + 1] for j in range(k)
-                ):
-                    yield from extend(rows + [tuple(row)])
-                return
-            lo = prev[i - 1]  # z_i^k <= z_{i+1}^{k+1}
-            hi = prev[i] - 1 if i < k else z_max  # interior also < z_{i+1}^k
-            for v in range(lo, hi + 1):
-                row.append(v)
-                yield from fill(i + 1)
-                row.pop()
-
-        yield from fill(1)
+        for row in _rows_above(rows[-1] if rows else (), x[k], z_max):
+            yield from extend(rows + [row])
 
     yield from extend([])
+
+
+def _top_rows(x, z_max, cap):
+    """{top row: number of GT patterns with left edge x under it}.
+
+    Built row by row: each row of layer k + 1 gets the summed counts of the
+    layer-k rows it interlaces above.  Every row has a row above it, so the
+    layer totals never fall and a total beyond cap already refuses the sum.
+    """
+    layer = {(): 1}
+    for first in x:
+        nxt = defaultdict(int)
+        for prev, count in layer.items():
+            for row in _rows_above(prev, first, z_max):
+                nxt[row] += count
+        layer = nxt
+        if sum(layer.values()) > cap:
+            raise PatternCapError(f"more than {cap} GT patterns; lower z_max or raise cap")
+    return layer
 
 
 def suggest_z_max(x, t, margin=1e-13):
@@ -275,37 +288,52 @@ def suggest_z_max(x, t, margin=1e-13):
     return top + k + 4
 
 
-def _gt_summand(zrow, y, n, params):
-    """Pfaffian weight of one pattern: Psi block, Xi columns (M > 0), and the
-    p-column augmentation when N + M is odd (M = 0 only)."""
-    m = len(y)
-    nn = len(zrow)
-    psi = np.zeros((nn, nn), dtype=complex)
-    for i in range(nn):
-        for j in range(i + 1, nn):
-            v = kernel_Q(1, 1, zrow[i], zrow[j], params)
-            psi[i, j] = v
-            psi[j, i] = -v
-    if m:
-        xib = np.zeros((nn, m), dtype=complex)
-        for i in range(nn):
-            for k in range(1, m + 1):
-                xib[i, k - 1] = kernel_Xi(n, k, y[k - 1], zrow[i], params)
-        return _assemble(psi, None, xib)
-    if nn % 2 == 1:
-        pv = np.array([kernel_p(1, z, params) for z in zrow])
-        return _assemble(psi, pv, None)
-    return _assemble(psi, None, None)
+def _weights(tops, y, n, params):
+    """Pfaffian weights of the (R, N) top rows, from one broadcast matching sum.
+
+    The matrix is the Psi block Q_{1,1}(z_i, z_j), bordered by the Xi columns
+    (M > 0) or, for N odd and M = 0, by the p column.  Each entry is an
+    R-array: Q is evaluated once per distinct (z_i, z_j) pair of each column
+    pair, p and Xi once per distinct site.  The matching sum has (d - 1)!!
+    terms, d = N + M (plus 1 for odd N with M = 0), so it suits small d.
+    """
+    r = len(tops)
+    sites, at = np.unique(tops, return_inverse=True)
+    at = at.reshape(tops.shape)
+    border = [
+        np.array([kernel_Xi(n, k, y[k - 1], z, params) for z in sites.tolist()])
+        for k in range(1, len(y) + 1)
+    ]
+    if not y and n % 2 == 1:
+        border = [np.array([kernel_p(1, z, params) for z in sites.tolist()])]
+    dim = n + len(border)
+    mat = [[0.0] * dim for _ in range(dim)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            pairs, inv = np.unique(tops[:, [i, j]], axis=0, return_inverse=True)
+            q = np.array([kernel_Q(1, 1, a, b, params) for a, b in pairs.tolist()])
+            mat[i][j] = q[inv.reshape(r)]
+            mat[j][i] = -mat[i][j]
+        for c, col in enumerate(border, start=n):
+            mat[i][c] = col[at[:, i]]
+            mat[c][i] = -mat[i][c]
+    return np.broadcast_to(matching_sum(mat), (r,)).astype(complex)
 
 
 def gt_pattern_sum(x, y, t, params: ModelParams, z_max=None, cap=10**7):
     """Transition probability as a sum of Pfaffian weights over GT patterns.
 
+    A pattern's weight is the Pfaffian of its top row alone (the interlacing
+    determinants are 0/1 indicators), so the sum runs over distinct top rows:
+    P_t(y -> x) = sign * sum_top (number of patterns under top) * Pf(top),
+    with the counts from _top_rows and every weight from one _weights call.
     Returns (value, remainder_estimate): the remainder is the total absolute
-    weight of patterns touching the z_max boundary layer (the kernels decay
-    super-exponentially, so this bounds the truncation honestly).
-    N + M even per the decomposition; the N odd, M = 0 case uses the p-column
-    augmentation of the odd transition-probability Pfaffian.
+    weight of the patterns whose top row reaches z_max (the kernels decay
+    super-exponentially, so this bounds the truncation honestly).  N + M even
+    per the decomposition; the N odd, M = 0 case uses the p-column
+    augmentation of the odd transition-probability Pfaffian.  The empty x is
+    one pattern of weight 1.  cap bounds the number of patterns, not of top
+    rows.
     """
     params.require_tasep()
     x = as_config(x)
@@ -318,26 +346,26 @@ def gt_pattern_sum(x, y, t, params: ModelParams, z_max=None, cap=10**7):
         z_max = suggest_z_max(x, t)
     if x and z_max < x[0]:
         raise ValueError(f"z_max = {z_max} is below x_1 = {x[0]}: no GT pattern fits")
-    sign = (-1.0) ** math.comb(n, 2) * math.exp(-params.alpha * t)
+    # (-1)^M: the Xi columns take y_1..y_M where the U columns take y_M..y_1,
+    # and Xi_{N-k} carries (-1)^k, so (-1)^(C(M,2) + C(M+1,2)) = (-1)^M.
+    sign = (-1.0) ** (math.comb(n, 2) + m) * math.exp(-params.alpha * t)
     if (n + m) % 2 == 1:
         sign *= params.alpha
-    total = 0.0
-    boundary = 0.0
-    for pat in enumerate_gt_patterns(x, z_max, cap=cap):
-        w = _real(pfaffian(_gt_summand(pat.top, y, n, params)), "GT weight")
-        total += w
-        if any(v >= z_max for v in pat.top):
-            boundary += abs(w)
-    return sign * total, abs(sign) * boundary
+    counted = _top_rows(x, z_max, cap)
+    tops = np.array(list(counted), dtype=int).reshape(len(counted), n)
+    counts = np.array(list(counted.values()), dtype=float)
+    w = _real(_weights(tops, y, n, params), "GT weight")
+    edge = (tops == z_max).any(axis=1)
+    return sign * float(counts @ w), abs(sign) * float(counts[edge] @ np.abs(w[edge]))
 
 
 def w_measure(rows, y, n, params: ModelParams):
     """The triangular-array measure: product of interlacing-indicator
-    determinants times the Pfaffian block of the top row.
+    determinants times the Pfaffian weight of the top row (_weights).
 
     rows is a full triangular array (list of rows, row k of length k); the
     measure vanishes off GT patterns whenever the left edge is strictly
-    decreasing.  N + M must be even.
+    decreasing.  N + M must be even; the empty array (N = 0) has measure 1.
     """
     params.require_tasep()
     y = as_config(y)
@@ -358,5 +386,5 @@ def w_measure(rows, y, n, params: ModelParams):
                 mat[i, j] = 1.0 if prev[i] <= rows[k - 1][j] else 0.0
         mat[k - 1, :] = 1.0
         det_prod *= np.linalg.det(mat)
-    pf = pfaffian(_gt_summand(rows[-1], y, n, params))
-    return det_prod * pf
+    top = np.array(rows[-1:], dtype=int).reshape(1, n)
+    return det_prod * _weights(top, y, n, params)[0]

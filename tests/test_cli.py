@@ -1,6 +1,7 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -168,6 +169,11 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "--z-max" in err and "--cap" in err
+
+    def test_gt_empty_x_is_0(self, capsys):
+        rc, out = run_cli(["gt-sum", "--x", "", "--alpha", "0.5", "--t", "1"], capsys)
+        assert rc == 0
+        assert json.loads(out)["value"] == pytest.approx(math.exp(-0.5), rel=1e-15)
 
     def test_asep_nodes_below_one_is_3(self, capsys):
         rc = main(

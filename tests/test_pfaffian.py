@@ -83,6 +83,15 @@ class TestPfaffian:
                 a = np.array([[np.broadcast_to(e, grid)[p] for e in row] for row in mat])
                 assert abs(values[p] - pfaffian(a)) < 1e-12 * max(1.0, abs(values[p]))
 
+    def test_scaling_keeps_relative_accuracy(self):
+        # Pf(cA) = c^(d/2) Pf(A): a tiny Pfaffian is not cut to 0
+        rng = np.random.default_rng(5)
+        for d in (2, 4, 6):
+            a = random_skew(rng, d)
+            for c in (1e-20, 1e-8, 1e8):
+                expect = c ** (d // 2) * pfaffian(a)
+                assert abs(pfaffian(c * a) - expect) <= 1e-12 * abs(expect)
+
     def test_swap_flips_sign(self):
         rng = np.random.default_rng(4)
         a = random_skew(rng, 8)

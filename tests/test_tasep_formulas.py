@@ -1,15 +1,21 @@
 """Schuetz-type Pfaffian formulas, joint distributions, GT decomposition."""
 
 import math
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from hsep.kernels import ModelParams, kernel_U
+from hsep.kernels import ModelParams, kernel_p, kernel_Q, kernel_U, kernel_Xi
 from hsep.markov_oracle import oracle_distribution, particle_count_distribution
+from hsep.pfaffian import pfaffian_definition
 from hsep.tasep_formulas import (
     GTPattern,
+    PatternCapError,
+    _assemble,
+    _blocks,
+    _top_rows,
     boundary_current_probability,
     enumerate_gt_patterns,
     gt_pattern_sum,
@@ -34,6 +40,18 @@ class TestTransitionProbability:
         for x in range(1, 7):
             f = tasep_transition_probability((), (x,), 1.0, P)
             assert abs(f - dist.probability((x,))) < 1e-9
+
+    def test_tiny_values_vs_matching_sum(self):
+        # far from the boundary the probability is tiny, yet not 0
+        p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=0.5)
+        for x in ((12, 1), (12, 2, 1), (9, 7, 5, 3)):
+            n = len(x)
+            qb, pv, _ = _blocks(x, (), p)
+            pre = (-1.0) ** math.comb(n, 2) * math.exp(-0.25) * (0.5 if n % 2 else 1.0)
+            expect = pre * pfaffian_definition(_assemble(qb, pv if n % 2 else None, None)).real
+            assert expect > 0.0
+            v = tasep_transition_probability((), x, 0.5, p)
+            assert abs(v - expect) <= 1e-12 * expect
 
     def test_both_parities_empty(self):
         dist = oracle_distribution((), 1.0, P, s_max=17)
@@ -123,6 +141,26 @@ class TestJointAndCurrent:
             assert abs(a - b) < 1e-12
 
 
+def per_pattern_sum(x, y, t, params, z_max):
+    """Reference GT sum: one matching-sum Pfaffian per pattern's top row."""
+    n, m = len(x), len(y)
+    total = 0.0
+    for pat in enumerate_gt_patterns(x, z_max):
+        z = pat.top
+        d = n + m + (1 if m == 0 and n % 2 else 0)
+        mat = np.zeros((d, d))
+        for i in range(n):
+            for j in range(i + 1, n):
+                mat[i, j] = kernel_Q(1, 1, z[i], z[j], params).real
+            for k in range(m):
+                mat[i, n + k] = kernel_Xi(n, k + 1, y[k], z[i], params).real
+            if d > n + m:
+                mat[i, n] = kernel_p(1, z[i], params).real
+        total += pfaffian_definition(mat - mat.T).real
+    sign = (-1.0) ** (math.comb(n, 2) + m) * math.exp(-params.alpha * t)
+    return sign * total * (params.alpha if (n + m) % 2 else 1.0)
+
+
 class TestGTDecomposition:
     def test_pattern_validation(self):
         GTPattern([(3,), (1, 4)])
@@ -158,6 +196,14 @@ class TestGTDecomposition:
         f = tasep_transition_probability((6, 4), (5, 2), 1.0, P)
         assert abs(v - f) < 1e-10
 
+    @pytest.mark.parametrize("x, y", [((4,), (3,)), ((6, 4, 3), (5,)), ((8, 6, 4), (7, 5, 3))])
+    def test_odd_m_matches_pfaffian(self, x, y):
+        p = ModelParams(q=0.0, alpha=0.6, gamma=0.0, t=0.8)
+        v, rem = gt_pattern_sum(x, y, 0.8, p)
+        f = tasep_transition_probability(y, x, 0.8, p)
+        assert f > 1e-6
+        assert abs(v - f) <= rem + 1e-12 * f
+
     def test_z_max_suggestion_covers_tail(self):
         z = suggest_z_max((3, 1), 0.8)
         v1, _ = gt_pattern_sum((3, 1), (), 0.8, P, z_max=z)
@@ -170,6 +216,45 @@ class TestGTDecomposition:
             gt_pattern_sum((4, 2, 1), (), 1.0, P, z_max=3)
         v, _ = gt_pattern_sum((4, 2, 1), (), 1.0, P, z_max=4)
         assert v > 0.0
+
+    @pytest.mark.parametrize("x", [(3, 1), (4, 2, 1), (5, 3, 2, 1), (4, 3, 2, 1), (6,)])
+    def test_top_row_counts_vs_brute_force(self, x):
+        for z_max in (x[0], x[0] + 1, x[0] + 3):
+            candidates = [
+                [(x[k],) + c for c in combinations(range(x[k] + 1, z_max + 1), k)]
+                for k in range(len(x))
+            ]
+            counts = Counter(rows[-1] for rows in product(*candidates) if is_interlacing(rows))
+            total = sum(counts.values())
+            assert _top_rows(x, z_max, cap=total) == dict(counts)
+            assert total == len(list(enumerate_gt_patterns(x, z_max)))
+            with pytest.raises(PatternCapError):
+                _top_rows(x, z_max, cap=total - 1)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [((3, 1), ()), ((4, 2, 1), ()), ((4, 3, 2, 1), ()), ((3,), ()),
+         ((7, 5), (6, 4)), ((7, 5, 2, 1), (6, 4)), ((6, 4, 3), (5,))],
+    )
+    def test_grouped_sum_vs_per_pattern(self, x, y):
+        p = ModelParams(q=0.0, alpha=0.7, gamma=0.0, t=1.1)
+        z_max = x[0] + 4
+        v, _ = gt_pattern_sum(x, y, 1.1, p, z_max=z_max)
+        ref = per_pattern_sum(x, y, 1.1, p, z_max)
+        assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("x, y", [((3, 1), ()), ((4, 2, 1), ()), ((5, 2), (6, 4))])
+    def test_remainder_bounds_truncation(self, x, y):
+        p = ModelParams(q=0.0, alpha=0.6, gamma=0.0, t=0.8)
+        f = tasep_transition_probability(y, x, 0.8, p)
+        for dz in (2, 5, 8, 12):
+            v, rem = gt_pattern_sum(x, y, 0.8, p, z_max=x[0] + dz)
+            assert abs(v - f) <= rem + 1e-15
+
+    def test_empty_pattern(self):
+        v, rem = gt_pattern_sum((), (), 1.0, P)
+        assert v == pytest.approx(math.exp(-0.5), rel=1e-15) and rem == 0.0
+        assert w_measure([], (), 0, P) == 1.0
 
     def test_pattern_cap(self):
         with pytest.raises(RuntimeError):
