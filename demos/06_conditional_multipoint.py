@@ -2,8 +2,11 @@
 
 Conditioned on seeing exactly N particles at time t, the joint law of any
 subset of particle positions is Pf(J - chi K chi) for an explicit 2x2-block
-kernel K built from skew-biorthogonal polynomials.  The threshold projection
-chi makes the Pfaffian finite.  This demo builds the polynomial families,
+kernel K.  Its finite-rank part depends on the kernel pairings only through
+the inverse of their bordered Gram matrix G, so it is one linear solve; the
+paper's skew-biorthogonal polynomials are one factorization of G^-1.  The
+threshold projection chi makes the Pfaffian finite.  This demo prints the
+Gram certificate, compares kernel blocks with a brute-force construction,
 evaluates conditional probabilities against the exact Markov oracle, and
 runs the full-space reduction where the Pfaffian becomes a determinant.
 """
@@ -13,22 +16,48 @@ import numpy as np
 from hsep.conditional import (
     build_skew_biorthogonal,
     conditional_distribution,
+    conditional_kernel,
+    correlation_kernel_bruteforce,
     fullspace_distribution,
+    moment_matrix,
 )
 from hsep.kernels import ModelParams
 from hsep.markov_oracle import conditional_event_probability, oracle_distribution
+from hsep.pfaffian import skew_borel
 
 params = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
 
-# The polynomial families: Phi solve a skew-biorthogonality against the
-# universal kernel, Upsilon a biorthogonality against the initial-data
-# kernels; the builder verifies every pairing and records the residuals.
-fam = build_skew_biorthogonal(4, 2, (9, 7), params)
-print("family residuals (N=4, M=2, y=(9,7)):", fam.residuals)
-# the families are real polynomials carried in complex arithmetic
-sites = range(1, 5)
-print("Phi_1 values:", [round(fam.phi_value(1, x).real, 6) for x in sites])
-print("Upsilon_3 values:", [round(fam.upsilon_value(1, x).real, 6) for x in sites])
+# The bordered Gram matrix G = [[N, P], [-P^T, 0]] of the Psi pairings
+# (script-N) and the initial-data pairings (script-P).  The condition number
+# of its equilibrated form is the certificate, and an ill-conditioned G is
+# refused.
+gram = build_skew_biorthogonal(4, 2, (9, 7), params)
+print("Gram certificate (N=4, M=2, y=(9,7)):", gram.residuals)
+try:
+    build_skew_biorthogonal(4, 0, (), ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=0.4))
+except ArithmeticError as exc:
+    print("N=4, M=0, t=0.4 refused:", exc)
+
+# At M = 0, G is the moment matrix script-N.  Its skew-Borel factorization
+# N = R J R^T gives N^-1 = R^-T J^-1 R^-1: the rows of R^-1 are the
+# skew-biorthogonal Phi, one way to factor the inverse the kernel solves with.
+nmat = moment_matrix(4, params)
+fac = skew_borel(nmat)
+rinv = np.linalg.inv(fac.r)
+via_phi = rinv.T @ np.linalg.inv(fac.j) @ rinv
+ninv = np.linalg.inv(nmat)
+print(
+    "max |R^-T J^-1 R^-1 - N^-1| / max |N^-1| =",
+    np.max(np.abs(via_phi - ninv)) / np.max(np.abs(ninv)),
+)
+
+# A kernel block against the dense (J + L)^-1 of the point process on a
+# cut lattice, at M = N where every particle is in the initial data.
+kern = conditional_kernel(2, 2, (5, 3), params)
+brute = correlation_kernel_bruteforce(2, 2, (5, 3), params, 20)
+blk, blk_brute = kern.block(1, 4, 2, 6), brute.kernel_block(1, 4, 2, 6)
+print("K(1, 4; 2, 6), N=M=2, y=(5,3):\n", np.round(blk.real, 10))
+print("largest difference from brute force:", np.max(np.abs(blk - blk_brute)))
 
 # Conditional probabilities for empty initial data, N = 2.
 dist = oracle_distribution((), 1.0, params, s_max=17)

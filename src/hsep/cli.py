@@ -56,11 +56,14 @@ def _emit(args, payload):
     if args.format == "json":
         text = json.dumps(payload, indent=2, default=float)
     else:
-        flat = {
-            k: v
-            for k, v in payload.items()
-            if isinstance(v, (int, float, str, bool))
-        }
+        # nested payloads flatten one level into dotted keys
+        flat = {}
+        for k, v in payload.items():
+            if isinstance(v, dict):
+                flat.update((f"{k}.{kk}", vv) for kk, vv in v.items())
+            else:
+                flat[k] = v
+        flat = {k: v for k, v in flat.items() if isinstance(v, (int, float, str, bool))}
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(flat.keys())
@@ -189,10 +192,8 @@ def _cmd_conditional(args):
     y = _parse_config(args.y)
     labels = [int(v) for v in args.p.split(",")]
     thresholds = [int(v) for v in args.a.split(",")]
-    value = cond.conditional_distribution(
-        labels, thresholds, args.n, len(y), y, args.t, params
-    )
-    fam = cond.build_skew_biorthogonal(args.n, len(y), y, params)
+    kernel = cond.conditional_kernel(args.n, len(y), y, params)
+    value = kernel.gap_probability(labels, thresholds)
     payload = {
         "command": "conditional",
         "conditional": {
@@ -201,7 +202,7 @@ def _cmd_conditional(args):
             "N": args.n,
             "M": len(y),
             "value": value,
-            "residuals": {k: float(v) for k, v in fam.residuals.items()},
+            "residuals": kernel.gram.residuals,
         },
     }
     if args.oracle:

@@ -1,18 +1,24 @@
 """Conditional multipoint distributions of the half-line TASEP.
 
-Builds the skew-biorthogonal polynomial family (Phi) and the biorthogonal
-family (Upsilon) from the moment matrix of the universal kernel, assembles
-the correlation kernel K = K0 - (KA + KB + KC), whose finite-rank correction
-is one matrix product E C F^T over three rows per point, and evaluates the
-conditional joint distribution Pf(J - chi K chi) as a finite Pfaffian after
-the threshold projection.  A brute-force construction of the same kernel by
-dense inversion of the point-process (J + L) matrix on a truncated lattice
-serves as an independent oracle, as does the full-space Fredholm determinant
+Assembles the correlation kernel K = K0 - K_fin of the conditioned point
+process and evaluates the conditional joint distribution Pf(J - chi K chi)
+as a finite Pfaffian after the threshold projection.  By the Pfaffian
+Eynard-Mehta theorem the finite-rank part K_fin depends on the kernel
+pairings only through the inverse of their bordered Gram matrix
+
+    G = [[script-N, script-P], [-script-P^T, 0]],
+
+so K_fin is one linear solve against G.  The paper's skew-biorthogonal
+family Phi and biorthogonal family Upsilon are one factorization of G^-1
+(for example `skew_borel(moment_matrix(N, params))` at M = 0) and are
+never formed.  A brute-force construction of the same kernel by dense
+inversion of the point-process (J + L) matrix on a truncated lattice serves
+as an independent oracle, as does the full-space Fredholm determinant
 reduction at M = N.
 
-All polynomials are stored in the virtual-pairing basis
+All rows are stored in the virtual-pairing basis
 e_l(x) = (x)_(N-l) / (N-l)!  (l = 1..N), in which the kernel pairings are
-single moment-matrix entries:
+single kernel entries:
     <e_k, Psi, e_l>  = Q_{N-k+2, N-l+2}(1, 1)      (the matrix script-N)
     <e_l, Xi_{N-k}>  = Xi^[l)_{N-k}(dagger_l)      (the matrix script-P)
     e_l conv phi_{-(j,N]} = (x)_(j-l) / (j-l)!     (finite difference)
@@ -35,13 +41,13 @@ from .kernels import (
     rising,
 )
 from .markov_oracle import as_config
-from .pfaffian import pfaffian, skew_borel, symplectic_j
+from .pfaffian import pfaffian
 from .tasep_formulas import require_well_separated
 
 __all__ = [
     "moment_matrix",
     "virtual_pairing_matrix",
-    "SkewBiorthogonalFamily",
+    "BorderedGram",
     "build_skew_biorthogonal",
     "ConditionalKernel",
     "conditional_kernel",
@@ -52,6 +58,9 @@ __all__ = [
     "fullspace_kernel",
     "fullspace_distribution",
 ]
+
+# Refuse where cond(S G S) * eps, the relative error of the kernel's solve, passes 4e-10
+GRAM_COND_MAX = 2e6
 
 
 def moment_matrix(n, params):
@@ -85,88 +94,32 @@ def _basis_poly(l, n, x):
 
 
 @dataclass
-class SkewBiorthogonalFamily:
-    """Phi_0..Phi_{N-M-1} and Upsilon_{N-M}..Upsilon_{N-1}, e-basis coefficients.
+class BorderedGram:
+    """The bordered Gram matrix G = [[script-N, script-P], [-script-P^T, 0]].
 
-    phi[k] holds the coefficients of Phi_k (degree k); upsilon[k-1] those of
-    Upsilon_{N-k} (degree N-k), k = 1..M.  residuals records the verified
-    (bi)orthogonality defects.
+    G is the (N + M) x (N + M) skew matrix of the pairings that define Phi
+    and Upsilon.  It is stored equilibrated, matrix = S G S with
+    S = diag(scale) and scale_k = 1 / sqrt(max_l |G_kl|), so that
+    G^-1 = S matrix^-1 S.  residuals holds the certificate of solving with
+    it, {"gram_cond": the 2-norm condition number of S G S}.  Without S,
+    cond(G) grows with script-N against script-P; the kernel does not.
     """
 
     n: int
     m: int
     y: tuple
     params: ModelParams
-    phi: np.ndarray
-    upsilon: np.ndarray
-    nmat: np.ndarray = field(repr=False)
-    pmat: np.ndarray = field(repr=False)
-    residuals: dict = field(default_factory=dict)
-
-    def phi_value(self, k, x):
-        return sum(
-            self.phi[k][j] * _basis_poly(j + 1, self.n, x) for j in range(self.n)
-        )
-
-    def upsilon_value(self, k, x):
-        """Upsilon_{N-k}(x) for 1 <= k <= M."""
-        return sum(
-            self.upsilon[k - 1][j] * _basis_poly(j + 1, self.n, x)
-            for j in range(self.n)
-        )
-
-    def verify(self, tol=1e-9):
-        """Recompute all defining pairings; store and return max residuals.
-
-        The Psi pairings are evaluated in explicitly antisymmetrized form
-        (x^T A y - y^T A x)/2: for exactly skew A this is the same bilinear
-        form but does not pollute structural zeros (like diagonals) with
-        rounding noise of size ||x||^2 eps.
-        """
-        n, m = self.n, self.m
-        nm = n - m
-        res_skew = 0.0
-        if nm:
-            raw = self.phi @ self.nmat @ self.phi.T
-            pairs = (raw - raw.T) / 2.0
-            for a in range(nm):
-                for b in range(nm):
-                    if a % 2 == 0 and b == a + 1:
-                        want = -1.0
-                    elif b % 2 == 0 and a == b + 1:
-                        want = 1.0
-                    else:
-                        want = 0.0
-                    res_skew = max(res_skew, abs(pairs[a, b] - want))
-        res_bi = 0.0
-        for k in range(1, m + 1):
-            for l in range(1, m + 1):
-                pair = self.upsilon[k - 1] @ self.pmat[:, l - 1]
-                res_bi = max(res_bi, abs(pair - (1.0 if k == l else 0.0)))
-        res_cross = 0.0
-        if m and nm:
-            raw = self.upsilon @ self.nmat @ self.phi.T
-            back = self.phi @ self.nmat @ self.upsilon.T
-            cross = (raw - back.T) / 2.0
-            res_cross = float(np.max(np.abs(cross)))
-        self.residuals = {
-            "skew_biorth": res_skew,
-            "biorth": res_bi,
-            "cross": res_cross,
-        }
-        if max(self.residuals.values()) > tol:
-            raise ArithmeticError(f"residual check failed: {self.residuals}")
-        return self.residuals
+    matrix: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+    residuals: dict
 
 
 def build_skew_biorthogonal(n, m, y, params: ModelParams):
-    """Construct the polynomial families from their defining relations.
+    """The bordered Gram matrix of the pairings that define Phi and Upsilon.
 
-    Phi: skew-Borel factorization of the trailing (N-M) x (N-M) minor of the
-    moment matrix (always even-dimensional since N + M is even).  Upsilon:
-    per-k square linear systems pairing against Xi (rows l >= k) and against
-    Psi Phi (all cross rows); the remaining biorthogonality rows l < k then
-    hold automatically and are verified.
+    Every skew-biorthogonal Phi and biorthogonal Upsilon factor G^-1, and
+    the kernel needs only G^-1, so this is all of the construction.  Raises
+    ArithmeticError when cond(S G S) exceeds GRAM_COND_MAX.
     """
     params.require_tasep()
     y = as_config(y)
@@ -178,44 +131,17 @@ def build_skew_biorthogonal(n, m, y, params: ModelParams):
         raise ValueError("the kernel construction needs N + M even")
     if m > 0:
         require_well_separated(y, n)
-    nm = n - m
-
-    nmat = moment_matrix(n, params) if (nm > 0 or m > 0) else np.zeros((0, 0))
-    pmat = virtual_pairing_matrix(n, m, y, params) if m else np.zeros((n, 0))
-
-    phi = np.zeros((nm, n), dtype=complex)
-    if nm > 0:
-        trailing = nmat[m:, m:]
-        fac = skew_borel(trailing)
-        rinv = np.linalg.inv(fac.r)
-        # Phi_{(N-M)-k} = sum_j [Rinv]_{k,j} e_{M+j}; row index by degree
-        for k in range(1, nm + 1):
-            phi[nm - k, m:] = rinv[k - 1, :]
-
-    upsilon = np.zeros((m, n), dtype=complex)
-    for k in range(1, m + 1):
-        size = n - k + 1
-        a = np.zeros((size, size), dtype=complex)
-        rhs = np.zeros(size, dtype=complex)
-        row = 0
-        for l in range(k, m + 1):  # biorthogonality rows l >= k
-            a[row, :] = pmat[k - 1 :, l - 1]
-            rhs[row] = 1.0 if l == k else 0.0
-            row += 1
-        for i in range(nm):  # cross-orthogonality rows
-            a[row, :] = nmat[k - 1 :, :] @ phi[i]
-            row += 1
-        if row != size:
-            raise AssertionError("Upsilon system is not square")
-        coeff = np.linalg.solve(a, rhs)
-        upsilon[k - 1, k - 1 :] = coeff
-
-    family = SkewBiorthogonalFamily(
-        n=n, m=m, y=y, params=params, phi=phi, upsilon=upsilon,
-        nmat=nmat, pmat=pmat,
-    )
-    family.verify()
-    return family
+    pmat = virtual_pairing_matrix(n, m, y, params)
+    gram = np.block([[moment_matrix(n, params), pmat], [-pmat.T, np.zeros((m, m))]])
+    rowmax = np.max(np.abs(gram), axis=1, initial=0.0)
+    scale = 1.0 / np.sqrt(np.where(rowmax > 0.0, rowmax, 1.0))
+    gram *= np.outer(scale, scale)
+    cond = float(np.linalg.cond(gram)) if n else 1.0
+    if not cond <= GRAM_COND_MAX:
+        raise ArithmeticError(
+            f"bordered Gram matrix condition number {cond:.3g} exceeds {GRAM_COND_MAX:g}"
+        )
+    return BorderedGram(n, m, y, params, gram, scale, {"gram_cond": cond})
 
 
 # ---------------------------------------------------------------------------
@@ -224,40 +150,30 @@ def build_skew_biorthogonal(n, m, y, params: ModelParams):
 
 
 class ConditionalKernel:
-    """The 2x2-block correlation kernel K = K0 - (KA + KB + KC).
+    """The 2x2-block correlation kernel K = K0 - K_fin.
 
-    The correction KA + KB + KC is a finite sum over Phi and Upsilon, so it
-    has rank at most 2(N + M) and is one product.  At a point z = (i, x)
-    take the rows, each of length N + M,
+    K_fin has rank at most 2(N + M) and is one solve against the bordered
+    Gram matrix G.  At a point z = (i, x) take the rows, each of length
+    N + M,
 
-        E(z) = (c a(z), xi(z)),   F(z) = (c b(z), xi(z)),   D(z) = (c d(z), 0),
+        E(z) = (a(z), xi(z)),   F(z) = (b(z), -xi(z)),   D(z) = (d(z), 0),
 
-    with c = (Phi; Upsilon) the N x N e-basis coefficients,
-    a(z)_l = Q_{N-i+1,N-l+2}(x, 1) = (Psi_{(i,N)} star e_l)(x),
+    with a(z)_l = Q_{N-i+1,N-l+2}(x, 1) = (Psi_{(i,N)} star e_l)(x),
     b(z)_l = Q_{N-l+2,N-i+1}(1, x) = (e_l star Psi_{(N,i)})(x),
     d(z)_l = (e_l diamond phi_{-(i,N]})(x) = (x)_(i-l)/(i-l)! for l <= i,
-    and xi(z)_k = Xi^(i)_{N-k}(x).  With the core
+    and xi(z)_k = Xi^(i)_{N-k}(x).  The block of K_fin at (z1, z2) is
 
-        C = [[S, 0, 0], [0, 0, I_M], [0, I_M, Upsilon N Upsilon^T]],
+        [[E1 G^-1 F2^T, -E1 G^-1 D2^T], [D1 G^-1 F2^T, -D1 G^-1 D2^T]],
 
-    S = symplectic_j(N - M) pairing Phi_(2k) with Phi_(2k+1), the correction
-    block at (z1, z2) is [[E1 C F2, -E1 C D2], [D1 C F2, -D1 C D2]]: the S
-    block is KA, the identity blocks KB and the Gram block KC.
+    from one solve with S G S against the rows times S for all points.
+    Writing G^-1 through Phi and Upsilon gives the paper's KA + KB + KC.
     """
 
-    def __init__(self, family: SkewBiorthogonalFamily):
-        self.family = family
-        self.params = family.params
-        self.n = family.n
-        self.m = family.m
-        nm, m = self.n - self.m, self.m
-        self.coef = np.vstack([family.phi, family.upsilon])
-        core = np.zeros((nm + 2 * m, nm + 2 * m), dtype=complex)
-        core[:nm, :nm] = symplectic_j(nm)
-        core[nm : nm + m, nm + m :] = np.eye(m)
-        core[nm + m :, nm : nm + m] = np.eye(m)
-        core[nm + m :, nm + m :] = family.upsilon @ family.nmat @ family.upsilon.T
-        self.core = core
+    def __init__(self, gram: BorderedGram):
+        self.gram = gram
+        self.params = gram.params
+        self.n = gram.n
+        self.m = gram.m
 
     def k0(self, i, x1, j, x2):
         n = self.n
@@ -268,7 +184,7 @@ class ConditionalKernel:
 
     def _rows(self, points):
         """The rows E, F and D of every point, each a (P, N + M) array."""
-        n, y, params = self.n, self.family.y, self.params
+        n, y, params = self.n, self.gram.y, self.params
         span = range(1, n + 1)
         a = [[kernel_Q(n - i + 1, n - l + 2, x, 1, params) for l in span] for i, x in points]
         b = [[kernel_Q(n - l + 2, n - i + 1, 1, x, params) for l in span] for i, x in points]
@@ -278,19 +194,18 @@ class ConditionalKernel:
              for i, x in points],
             dtype=complex,
         ).reshape(len(points), self.m)
-        ct = self.coef.T
         return (
-            np.hstack([np.array(a) @ ct, xi]),
-            np.hstack([np.array(b) @ ct, xi]),
-            np.hstack([np.array(d) @ ct, np.zeros_like(xi)]),
+            np.hstack([np.array(a, dtype=complex), xi]),
+            np.hstack([np.array(b, dtype=complex), -xi]),
+            np.hstack([np.array(d, dtype=complex), np.zeros_like(xi)]),
         )
 
     def matrix(self, points):
         """The 2P x 2P matrix of the blocks K(z_a; z_b) over points z = (i, x)."""
-        e, f, d = self._rows(points)
+        e, f, d = (rows * self.gram.scale for rows in self._rows(points))
         left = np.stack([e, d], axis=1).reshape(2 * len(points), -1)
         right = np.stack([f, -d], axis=1).reshape(2 * len(points), -1)
-        mat = -(left @ self.core @ right.T)
+        mat = -(left @ np.linalg.solve(self.gram.matrix, right.T))
         for a, (i, x1) in enumerate(points):
             for b, (j, x2) in enumerate(points):
                 mat[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] += self.k0(i, x1, j, x2)
@@ -300,45 +215,48 @@ class ConditionalKernel:
         """The 2x2 kernel block K(i, x1; j, x2)."""
         return self.matrix([(i, x1), (j, x2)])[:2, 2:]
 
+    def gap_probability(self, p_labels, a_thresholds):
+        """P[X_t(p_k) > a_k for all k | |X_t| = N] as a finite Fredholm Pfaffian.
+
+        The chi-bar projection keeps the points {(p_k, x): 1 <= x <= a_k},
+        making Pf(J - chi K chi) a finite Pfaffian; an empty projection (all
+        a_k = 0) gives exactly 1.
+        """
+        p_labels = list(p_labels)
+        a_thresholds = list(a_thresholds)
+        if len(p_labels) != len(a_thresholds):
+            raise ValueError("labels and thresholds must pair up")
+        if any(not 1 <= p <= self.n for p in p_labels):
+            raise ValueError("labels must lie in 1..N")
+        if any(a < 0 for a in a_thresholds):
+            raise ValueError("thresholds must be >= 0")
+        points = [
+            (p, x) for p, a in zip(p_labels, a_thresholds) for x in range(1, a + 1)
+        ]
+        if not points:
+            return 1.0
+
+        same = np.array([[za == zb for zb in points] for za in points])
+        mat = np.kron(same, [[0.0, 1.0], [-1.0, 0.0]]) - self.matrix(points)
+        # K is skew only up to rounding: take the blocks above the diagonal and
+        # mirror them, then clean the diagonal blocks' symmetric noise
+        blocks = np.arange(len(mat)) // 2
+        mat = np.where(blocks[:, None] > blocks[None, :], -mat.T, mat)
+        value = pfaffian((mat - mat.T) / 2.0)
+        if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
+            raise ArithmeticError(f"conditional Pfaffian has imaginary part {value.imag:g}")
+        return value.real
+
 
 def conditional_kernel(n, m, y, params: ModelParams):
     return ConditionalKernel(build_skew_biorthogonal(n, m, y, params))
 
 
 def conditional_distribution(p_labels, a_thresholds, n, m, y, t, params: ModelParams):
-    """P[X_t(p_k) > a_k for all k | |X_t| = N] as a finite Fredholm Pfaffian.
-
-    The chi-bar projection keeps the points {(p_k, x): 1 <= x <= a_k}, making
-    Pf(J - chi K chi) a finite Pfaffian; empty projection (all a_k = 0) gives
-    exactly 1.
-    """
+    """P[X_t(p_k) > a_k for all k | |X_t| = N]: `ConditionalKernel.gap_probability`."""
     if params.t != t:
         params = ModelParams(q=params.q, alpha=params.alpha, gamma=0.0, t=t)
-    p_labels = list(p_labels)
-    a_thresholds = list(a_thresholds)
-    if len(p_labels) != len(a_thresholds):
-        raise ValueError("labels and thresholds must pair up")
-    if any(not 1 <= p <= n for p in p_labels):
-        raise ValueError("labels must lie in 1..N")
-    if any(a < 0 for a in a_thresholds):
-        raise ValueError("thresholds must be >= 0")
-    kernel = conditional_kernel(n, m, y, params)
-    points = [
-        (p, x) for p, a in zip(p_labels, a_thresholds) for x in range(1, a + 1)
-    ]
-    if not points:
-        return 1.0
-
-    same = np.array([[za == zb for zb in points] for za in points])
-    mat = np.kron(same, [[0.0, 1.0], [-1.0, 0.0]]) - kernel.matrix(points)
-    # K is skew only up to rounding: take the blocks above the diagonal and
-    # mirror them, then clean the diagonal blocks' symmetric noise
-    blocks = np.arange(len(mat)) // 2
-    mat = np.where(blocks[:, None] > blocks[None, :], -mat.T, mat)
-    value = pfaffian((mat - mat.T) / 2.0)
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
-        raise ArithmeticError(f"conditional Pfaffian has imaginary part {value.imag:g}")
-    return value.real
+    return conditional_kernel(n, m, y, params).gap_probability(p_labels, a_thresholds)
 
 
 # ---------------------------------------------------------------------------

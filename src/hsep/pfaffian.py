@@ -36,13 +36,12 @@ _SKEW_TOL = 1e-12
 _PIVOT_TOL = 1e-13
 
 
-def as_skew(entries, symmetrize=False):
-    """Validate (or force) skew-symmetry of a square complex matrix.
+def as_skew(entries):
+    """Validate skew-symmetry of a square complex matrix.
 
-    Rejects asymmetry beyond 1e-12 relative unless symmetrize=True, in which
-    case (A - A^T)/2 is returned.  Object-dtype arrays (extended-precision
-    entries) pass through uncast, so the factorizations below run at the
-    caller's precision.
+    Rejects asymmetry beyond 1e-12 relative.  Object-dtype arrays
+    (extended-precision entries) pass through uncast, so the factorizations
+    below run at the caller's precision.
     """
     if isinstance(entries, np.ndarray) and entries.dtype == object:
         a = entries
@@ -50,8 +49,6 @@ def as_skew(entries, symmetrize=False):
         a = np.asarray(entries, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("skew matrix must be square")
-    if symmetrize:
-        return (a - a.T) / 2.0
     scale = max(np.max(np.abs(a)), 1.0)
     dev = np.max(np.abs(a + a.T))
     if dev > _SKEW_TOL * scale:

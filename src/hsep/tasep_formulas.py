@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _IMAG_TOL = 1e-9
+_Z_MAX_TAIL = 1e-13  # Poisson tail mass that suggest_z_max leaves out
 
 
 def _real(value, what="Pfaffian value"):
@@ -185,15 +186,11 @@ class GTPattern:
 
     def __init__(self, rows):
         self.rows = [tuple(r) for r in rows]
-        n = len(self.rows)
         for k, r in enumerate(self.rows, start=1):
             if len(r) != k:
                 raise ValueError("row k must have k entries")
-        for k in range(n - 1):
-            upper, lower = self.rows[k], self.rows[k + 1]
-            for i in range(k + 1):
-                if not (lower[i] < upper[i] <= lower[i + 1]):
-                    raise ValueError("rows do not interlace")
+        if not is_interlacing(self.rows):
+            raise ValueError("rows do not interlace")
 
     @property
     def size(self):
@@ -275,13 +272,13 @@ def _top_rows(x, z_max, cap):
     return layer
 
 
-def suggest_z_max(x, t, margin=1e-13):
+def suggest_z_max(x, t):
     """Entry cutoff: top-row weights decay on the Poisson tail of e^(tw)."""
     top = max(x) if x else 1
     k = 0
     term = math.exp(-t)
     acc = term
-    while 1.0 - acc > margin and k < 500:
+    while 1.0 - acc > _Z_MAX_TAIL and k < 500:
         k += 1
         term *= t / k
         acc += term

@@ -74,7 +74,7 @@ class TestSubcommands:
         )
         assert rc == 0
         payload = json.loads(out)
-        assert "residuals" in payload["conditional"]
+        assert payload["conditional"]["residuals"] == {"gram_cond": 1.0}
 
     def test_oracle_and_simulate(self, capsys):
         rc, out = run_cli(
@@ -107,6 +107,19 @@ class TestSubcommands:
         assert rc == 0
         header, row = out.strip().splitlines()
         assert "value" in header.split(",")
+        # a nested payload flattens into dotted keys
+        rc, out = run_cli(
+            [
+                "conditional", "--n", "2", "--p", "2", "--a", "1",
+                "--t", "1", "--alpha", "0.5", "--format", "csv",
+            ],
+            capsys,
+        )
+        assert rc == 0
+        header, row = out.strip().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["conditional.N"] == "2"
+        assert 0.0 < float(fields["conditional.value"]) < 1.0
 
 
 class TestDeterminism:
@@ -163,6 +176,13 @@ class TestExitCodes:
         rc = main(["tasep-prob", "--x", "1", "--alpha", "0.5", "--t", "760"])
         assert rc == 4
         assert "underflows" in capsys.readouterr().err
+
+    def test_conditional_ill_conditioned_is_4(self, capsys):
+        rc = main(
+            ["conditional", "--n", "4", "--p", "1", "--a", "4", "--alpha", "0.5", "--t", "0.4"]
+        )
+        assert rc == 4
+        assert "condition number" in capsys.readouterr().err
 
     def test_gt_cap_exceeded_is_3(self, capsys):
         rc = main(["gt-sum", "--x", "5,3", "--cap", "10", "--alpha", "0.5", "--t", "1"])

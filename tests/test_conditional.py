@@ -1,4 +1,4 @@
-"""Skew-biorthogonal families, the conditional kernel, and its oracles."""
+"""The pairing matrices, the conditional kernel, and its oracles."""
 
 import math
 from itertools import combinations
@@ -8,7 +8,6 @@ import pytest
 
 from hsep.conditional import (
     BruteForceEnsemble,
-    ConditionalKernel,
     build_skew_biorthogonal,
     conditional_distribution,
     conditional_kernel,
@@ -31,24 +30,43 @@ P = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
 
 
 class TestFamilies:
-    def test_residuals_all_shapes(self):
-        for (n, m, y) in ((2, 0, ()), (4, 0, ()), (4, 2, (9, 7)), (3, 1, (6,))):
-            fam = build_skew_biorthogonal(n, m, y, P)
-            assert max(fam.residuals.values()) <= 1e-9
+    """The pairings whose Gram matrix Phi and Upsilon factor."""
 
-    def test_degrees(self):
-        fam = build_skew_biorthogonal(4, 2, (9, 7), P)
-        for k in range(2):
-            vals = [fam.phi_value(k, x) for x in range(1, 10)]
-            assert np.max(np.abs(np.diff(vals, k + 1))) < 1e-8
-        for k in (1, 2):
-            vals = [fam.upsilon_value(k, x) for x in range(1, 12)]
-            deg = 4 - k
-            assert np.max(np.abs(np.diff(vals, deg + 1))) < 1e-6
+    def test_gram_certificate(self):
+        gram = build_skew_biorthogonal(4, 2, (9, 7), P)
+        pmat = virtual_pairing_matrix(4, 2, (9, 7), P)
+        g = np.block([[moment_matrix(4, P), pmat], [-pmat.T, np.zeros((2, 2))]])
+        s = np.diag(gram.scale)
+        assert np.max(np.abs(gram.matrix - s @ g @ s)) < 1e-15
+        assert np.max(np.abs(gram.matrix + gram.matrix.T)) == 0.0
+        assert np.max(np.abs(gram.matrix)) == pytest.approx(1.0)
+        assert gram.residuals["gram_cond"] == pytest.approx(np.linalg.cond(gram.matrix))
+        assert gram.residuals["gram_cond"] < 1e2
+        assert build_skew_biorthogonal(0, 0, (), P).residuals == {"gram_cond": 1.0}
+
+    def test_equilibration_keeps_full_data_certified(self):
+        # at M = N the moment matrix outgrows the pairing block as alpha t
+        # grows; cond(G) is 7e6 here, its equilibrated form 8e4, and the
+        # conditional law at M = N does not depend on alpha
+        y = (7, 6, 5, 4, 3)
+        vals = []
+        for alpha in (0.3, 1.6):
+            p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=2.9)
+            assert build_skew_biorthogonal(5, 5, y, p).residuals["gram_cond"] < 2e5
+            vals.append(conditional_distribution((1, 5), (1, 3), 5, 5, y, 2.9, p))
+        assert abs(vals[0] - vals[1]) < 1e-12
+
+    def test_ill_conditioned_gram_refused(self):
+        # (N, M) = (4, 0) at t = 0.4: cond(G) ~ 1e7
+        p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=0.4)
+        with pytest.raises(ArithmeticError, match="condition number"):
+            build_skew_biorthogonal(4, 0, (), p)
+        with pytest.raises(ArithmeticError):
+            conditional_distribution((1,), (4,), 4, 0, (), 0.4, p)
 
     def test_explicit_inverse_path_matches(self):
-        # Phi built from the sub-Pfaffian explicit inverse of the moment
-        # matrix agrees with the factorization path entry by entry
+        # the skew-Borel factor of the moment matrix (one factorization of
+        # its inverse) agrees with the sub-Pfaffian explicit inverse
         nmat = moment_matrix(4, P)
         fac = skew_borel(nmat)
         direct = np.linalg.inv(fac.r)
@@ -56,22 +74,6 @@ class TestFamilies:
         assert np.max(np.abs(direct - explicit)) < 1e-9 * max(
             1.0, np.max(np.abs(direct))
         )
-
-    def test_n2_pairing_value(self):
-        fam = build_skew_biorthogonal(2, 0, (), P)
-        pair = fam.phi[0] @ fam.nmat @ fam.phi[1]
-        assert abs(pair - (-1.0)) < 1e-10
-
-    def test_m_inverse_formula(self):
-        # M = P^T N^{-1} P and Upsilon N Upsilon^T = M^{-1}
-        fam = build_skew_biorthogonal(4, 2, (9, 7), P)
-        minv_direct = np.linalg.inv(
-            fam.pmat.T @ np.linalg.inv(fam.nmat) @ fam.pmat
-        )
-        gram = fam.upsilon @ fam.nmat @ fam.upsilon.T
-        gram = (gram - gram.T) / 2
-        minv_direct = (minv_direct - minv_direct.T) / 2
-        assert np.max(np.abs(gram - minv_direct)) < 1e-9
 
     def test_pairing_matrix_structure(self):
         # [P] = [S_M; 0] with S_M upper triangular, diagonal (-1)^k
@@ -210,24 +212,26 @@ class TestKernelAgreement:
                         )
         assert worst < 1e-7
 
+    @pytest.mark.parametrize("n, y", [(2, (5, 3)), (2, (3, 2)), (3, (5, 4, 3))])
+    def test_full_data_kernels_agree(self, n, y):
+        # M = N: the blocks agree entry by entry, not only as gap probabilities
+        ens = correlation_kernel_bruteforce(n, n, y, P, 20)
+        kern = conditional_kernel(n, n, y, P)
+        points = [(i, x) for i in range(1, n + 1) for x in range(1, 8)]
+        mat = kern.matrix(points)
+        worst = 0.0
+        for a, za in enumerate(points):
+            for b, zb in enumerate(points):
+                blk = mat[2 * a : 2 * a + 2, 2 * b : 2 * b + 2]
+                worst = max(worst, np.max(np.abs(ens.kernel_block(*za, *zb) - blk)))
+        assert worst < 1e-8
+
     def test_kernel_block_skew_structure(self):
         kern = conditional_kernel(3, 1, (6,), P)
         for (i, x1, j, x2) in ((1, 2, 3, 4), (2, 1, 2, 5), (3, 3, 1, 1)):
             blk = kern.block(i, x1, j, x2)
             swapped = kern.block(j, x2, i, x1)
             assert np.max(np.abs(blk + swapped.T)) < 1e-10
-
-    def test_free_parameter_invariance(self):
-        # Phi_1 -> Phi_1 + c Phi_0 keeps the skew pairing; of the kernel's
-        # parts only KA depends on Phi, so the whole block must not move
-        fam = build_skew_biorthogonal(2, 0, (), P)
-        kern = ConditionalKernel(fam)
-        base = kern.block(1, 2, 2, 3)
-        fam2 = build_skew_biorthogonal(2, 0, (), P)
-        fam2.phi = fam2.phi.copy()
-        fam2.phi[1] = fam2.phi[1] + 0.7 * fam2.phi[0]
-        kern2 = ConditionalKernel(fam2)
-        assert np.max(np.abs(kern2.block(1, 2, 2, 3) - base)) < 1e-12
 
     def test_matrix_is_the_blocks(self):
         kern = conditional_kernel(4, 2, (9, 7), P)
@@ -249,6 +253,7 @@ class TestKernelAgreement:
 class TestConditionalDistribution:
     def test_trivial_projection(self):
         assert conditional_distribution((2,), (0,), 2, 0, (), 1.0, P) == 1.0
+        assert conditional_distribution((), (), 0, 0, (), 1.0, P) == 1.0
 
     def test_empty_data_vs_oracle(self):
         dist = oracle_distribution((), 1.0, P, s_max=17)
@@ -273,6 +278,9 @@ class TestConditionalDistribution:
             (4, 2, (9, 7), 20, [((1, 4), (9, 2)), ((2, 3), (7, 4)), ((3,), (5,))]),
             # M = 0: the S block only
             (4, 0, (), 18, [((1, 4), (5, 1)), ((2, 3), (3, 2)), ((4,), (2,))]),
+            # y_M = N - M + 2 with y_(M-1) = y_M + 1
+            (4, 2, (5, 4), 18, [((1, 4), (1, 3))]),
+            (5, 3, (6, 5, 4), 19, [((1, 5), (1, 3))]),
         ],
     )
     def test_coupled_labels_vs_oracle(self, n, m, y, s_max, events):
