@@ -4,7 +4,9 @@ Two independent oracles:
 
 * exact transition probabilities by uniformization of the generator on a
   truncated lattice (states are bitmasks of occupied sites, probability that
-  leaks past the cutoff is absorbed and reported as a rigorous tail bound);
+  leaks past the cutoff is absorbed and reported as a rigorous tail bound).
+  Every move shifts the site sum by +-1, so only the states within n of the
+  initial site sum, n the number of Poisson steps, are ever propagated;
 * a continuous-time Monte Carlo (Gillespie) simulator, vectorized over
   trajectories, with counter-based randomness so a fixed seed reproduces
   bit-identical counts under any execution schedule.
@@ -18,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -153,60 +154,69 @@ def _popcounts(n_states, s_max):
     return pc
 
 
-_GEN_CACHE_SIZE = 4  # an s_max = 20 generator holds 6.5M nonzeros
+def _max_exit_rate(s_max, q, alpha, gamma):
+    """Largest total exit rate over the box {1..s_max}, the uniformization Lambda.
 
-
-@lru_cache(maxsize=_GEN_CACHE_SIZE)
-def _generator_matrix(q, alpha, gamma, s_max):
-    """Sparse transposed generator Q^T on the truncated space (cached).
-
-    Entry [target, source] = rate(source -> target); diagonal rows sum to
-    minus the total exit rate including the suppressed escape at the cutoff,
-    so probability leaks (is absorbed) instead of reflecting.  The cache
-    keeps the most recently used generators only.
+    A two-state recursion over sites: e and o are the largest rates that
+    sites 1..s can collect with site s empty or occupied.  Site 1 brings alpha
+    (empty) or gamma (occupied); the bond (s, s+1) brings 1 for a right move
+    (occupied, empty) and q for a left move (empty, occupied); an occupied
+    site s_max escapes at rate 1.
     """
-    n = 1 << s_max
-    states = np.arange(n, dtype=np.int64)
-    rows, cols, vals = [], [], []
+    e, o = alpha, gamma
+    for _ in range(s_max - 1):
+        e, o = max(e, o + 1.0), max(e + q, o)
+    return max(e, o + 1.0)
+
+
+def _window(s_max, lo, hi):
+    """Ascending masks of the box whose site sum lies in [lo, hi].
+
+    Built by doubling over sites, adding site b + 1 to every mask so far whose
+    sum stays <= hi, so no pass over all 2^s_max states is made.
+    """
+    masks = sums = np.zeros(1, dtype=np.int64)
+    for b in range(s_max):
+        keep = sums + b + 1 <= hi
+        masks = np.concatenate([masks, masks[keep] | (1 << b)])
+        sums = np.concatenate([sums, sums[keep] + b + 1])
+    return masks[sums >= lo]
+
+
+def _window_generator(masks, s_max, q, alpha, gamma):
+    """Sparse transposed generator Q^T on the window `masks` (ascending).
+
+    Entry [target, source] = rate(source -> target).  The diagonal holds minus
+    the total exit rate, including the escape past the cutoff and every move
+    whose target lies outside the window: that probability leaks (is
+    absorbed) instead of reflecting.
+    """
+    n = len(masks)
     total_rate = np.zeros(n)
+    entries = []  # (rows, cols, vals)
 
     def add(mask, targets, rate):
-        rows.append(targets[mask].astype(np.int64))
-        cols.append(states[mask])
-        vals.append(np.full(int(mask.sum()), rate))
+        total_rate[mask] += rate
+        src = np.flatnonzero(mask)
+        idx = np.minimum(np.searchsorted(masks, targets[src]), n - 1)
+        inside = masks[idx] == targets[src]
+        entries.append((idx[inside], src[inside], np.full(int(inside.sum()), rate)))
 
-    # bulk right moves within the box
-    for b in range(s_max - 1):
-        mask = (((states >> b) & 1) == 1) & (((states >> (b + 1)) & 1) == 0)
-        add(mask, states ^ (np.int64(0b11) << b), 1.0)
-        total_rate[mask] += 1.0
-    # right move out of the box: absorbed (escape)
-    top = (((states >> (s_max - 1)) & 1) == 1)
-    total_rate[top] += 1.0
-    # bulk left moves
-    if q > 0:
+    bit = [((masks >> b) & 1) == 1 for b in range(s_max)]
+    for b in range(s_max - 1):  # bulk right moves within the box
+        add(bit[b] & ~bit[b + 1], masks ^ (np.int64(0b11) << b), 1.0)
+    total_rate[bit[s_max - 1]] += 1.0  # right move out of the box: escape
+    if q > 0:  # bulk left moves
         for b in range(1, s_max):
-            mask = (((states >> b) & 1) == 1) & (((states >> (b - 1)) & 1) == 0)
-            add(mask, states ^ (np.int64(0b11) << (b - 1)), q)
-            total_rate[mask] += q
-    # boundary injection / removal
-    if alpha > 0:
-        mask = (states & 1) == 0
-        add(mask, states | 1, alpha)
-        total_rate[mask] += alpha
+            add(bit[b] & ~bit[b - 1], masks ^ (np.int64(0b11) << (b - 1)), q)
+    if alpha > 0:  # boundary injection / removal
+        add(~bit[0], masks | 1, alpha)
     if gamma > 0:
-        mask = (states & 1) == 1
-        add(mask, states & ~np.int64(1), gamma)
-        total_rate[mask] += gamma
+        add(bit[0], masks & ~np.int64(1), gamma)
 
-    rows.append(states)
-    cols.append(states)
-    vals.append(-total_rate)
-    qt = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return qt, float(total_rate.max())
+    entries.append((np.arange(n), np.arange(n), -total_rate))
+    rows, cols, vals = map(np.concatenate, zip(*entries))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 @dataclass
@@ -228,9 +238,8 @@ class OracleDistribution:
 
     def to_json(self):
         entries = [
-            {"config": list(mask_to_config(m)), "p": float(p)}
-            for m, p in enumerate(self.probs)
-            if p > 1e-12
+            {"config": list(mask_to_config(m)), "p": float(self.probs[m])}
+            for m in np.flatnonzero(self.probs > 1e-12)
         ]
         entries.sort(key=lambda e: -e["p"])
         return json.dumps(
@@ -253,37 +262,49 @@ def oracle_distribution(y, t, params: ModelParams, s_max=None, poisson_tol=1e-13
     """Evolve delta_y to time t by uniformization; returns OracleDistribution.
 
     P_t = e^(-Lambda t) sum_n (Lambda t)^n / n! * Phat^n with
-    Phat = I + Q/Lambda; n is truncated once the Poisson tail drops below
-    poisson_tol.  The reported tail_bound covers both the Poisson truncation
-    and the probability absorbed at the lattice cutoff.
+    Phat = I + Q/Lambda and Lambda the box maximum of the exit rate; n is
+    truncated once the Poisson tail drops below poisson_tol, so it is known
+    before the first step.  Every move shifts the site sum by +-1, so after k
+    steps the iterate lives on |sum x - sum y| <= k: only that window, for
+    k = n, is propagated.  Moves out of it leave its rim only, which is never
+    propagated again, so the window is exact.  The reported tail_bound covers
+    both the Poisson truncation and the probability absorbed at the lattice
+    cutoff.  probs is dense over all 2^s_max masks.
     """
     y = as_config(y)
     if s_max is None:
         s_max = default_cutoff(y, t)
     space = TruncatedStateSpace(s_max)
-    qt, lam = _generator_matrix(params.q, params.alpha, params.gamma, s_max)
-    v = np.zeros(space.size)
-    v[space.index(y)] = 1.0
+    probs = np.zeros(space.size)
+    probs[space.index(y)] = 1.0
+    lam = _max_exit_rate(s_max, params.q, params.alpha, params.gamma)
     if lam * t == 0.0:
-        return OracleDistribution(t, params, y, s_max, v, 0.0)
+        return OracleDistribution(t, params, y, s_max, probs, 0.0)
 
     mu = lam * t
-    # Poisson(mu) weights on the fly, stopping once the kept weight covers
+    # Poisson(mu) weights, stopping once the kept weight covers
     # 1 - poisson_tol (or no weight is left past the mode): the weight left
-    # out is missing from out.sum(), so it enters the tail bound.
+    # out is missing from probs.sum(), so it enters the tail bound.
     logw = -mu
     w = kept = math.exp(logw)
-    out = w * v
-    n_ = 0
-    while kept < 1.0 - poisson_tol and (n_ < mu or w > 0.0):
-        n_ += 1
-        logw += math.log(mu) - math.log(n_)
+    weights = [w]
+    while kept < 1.0 - poisson_tol and (len(weights) - 1 < mu or w > 0.0):
+        logw += math.log(mu) - math.log(len(weights))
         w = math.exp(logw)
+        weights.append(w)
+        kept += w
+    steps = len(weights) - 1
+    masks = _window(s_max, sum(y) - steps, sum(y) + steps)
+    qt = _window_generator(masks, s_max, params.q, params.alpha, params.gamma)
+    v = np.zeros(len(masks))
+    v[np.searchsorted(masks, space.index(y))] = 1.0
+    out = weights[0] * v
+    for w in weights[1:]:
         v = v + qt.dot(v) / lam
         out += w * v
-        kept += w
-    tail = max(0.0, 1.0 - float(out.sum())) + poisson_tol
-    return OracleDistribution(t, params, y, s_max, out, tail)
+    probs[masks] = out
+    tail = max(0.0, 1.0 - float(probs.sum())) + poisson_tol
+    return OracleDistribution(t, params, y, s_max, probs, tail)
 
 
 def transition_probability_exact(y, x, t, params: ModelParams, s_max=None):
@@ -445,14 +466,14 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
             if np.any(is_right):
                 k = np.floor(xi[is_right]).astype(int)  # k-th movable particle
                 rows = np.nonzero(is_right)[0]
-                cs = np.cumsum(right[rows], axis=1)
+                cs = np.cumsum(right[rows], axis=1, dtype=np.int8)
                 pos = np.argmax((cs == (k + 1)[:, None]) & right[rows], axis=1)
                 occ[rows, pos] = False
                 occ[rows, pos + 1] = True
             if np.any(is_left):
                 k = np.floor((xi[is_left] - nr[is_left]) / q).astype(int)
                 rows = np.nonzero(is_left)[0]
-                cs = np.cumsum(left[rows], axis=1)
+                cs = np.cumsum(left[rows], axis=1, dtype=np.int8)
                 pos = np.argmax((cs == (k + 1)[:, None]) & left[rows], axis=1)
                 occ[rows, pos + 1] = False
                 occ[rows, pos] = True
@@ -461,8 +482,7 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
             if np.any(is_out):
                 occ[np.nonzero(is_out)[0], 0] = False
 
-        powers = (np.uint64(1) << np.arange(_SIM_SITES, dtype=np.uint64))
-        masks = (occ.astype(np.uint64) * powers).sum(axis=1)
+        masks = np.packbits(occ, axis=1, bitorder="little").view("<u8").ravel()
         vals, cnts = np.unique(masks, return_counts=True)
         for m, c in zip(vals.tolist(), cnts.tolist()):
             counts[int(m)] = counts.get(int(m), 0) + int(c)

@@ -96,6 +96,27 @@ class TestSubcommands:
         assert rc == 0
         assert json.loads(out)["n_traj"] == 1000
 
+    def test_oracle_json_is_pinned(self, capsys):
+        # the full distribution as printed before the oracle ran on its
+        # site-sum window; it must stay byte-identical
+        import hashlib
+
+        rc, out = run_cli(
+            [
+                "oracle", "--y", "3,1", "--t", "1", "--alpha", "0.6", "--q", "0.3",
+                "--gamma", "0.2", "--s-max", "12",
+            ],
+            capsys,
+        )
+        assert rc == 0
+        payload = json.loads(out)
+        assert len(payload["entries"]) == 417
+        assert payload["entries"][0] == {"config": [3, 2], "p": 0.14737899008117167}
+        assert payload["tail_bound"] == 8.715559948412616e-08
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bcd8fa87ef3af3e71f4cc3c2f9df53193b4dcaa8934e47754dfd64f605cd9b89"
+        )
+
     def test_csv_format(self, capsys):
         rc, out = run_cli(
             [

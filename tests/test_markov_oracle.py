@@ -1,5 +1,6 @@
 """Uniformization oracle and the Gillespie simulator."""
 
+import itertools
 import math
 
 import numpy as np
@@ -121,17 +122,67 @@ class TestUniformization:
             err = np.abs(dist.probs - propagator[:, config_to_mask(y)]).max()
             assert err <= dist.tail_bound
 
-    def test_generator_cache_is_bounded(self):
-        from hsep.markov_oracle import _GEN_CACHE_SIZE, _generator_matrix
+    def test_lambda_is_box_maximum_of_exit_rate(self):
+        from hsep.markov_oracle import _max_exit_rate
 
-        _generator_matrix.cache_clear()
-        alphas = [0.1 * (i + 1) for i in range(_GEN_CACHE_SIZE + 1)]
-        for alpha in alphas:
-            oracle_distribution((1,), 0.5, ModelParams(alpha=alpha, t=0.5), s_max=4)
-        info = _generator_matrix.cache_info()
-        assert info.currsize == _GEN_CACHE_SIZE
-        oracle_distribution((2,), 0.5, ModelParams(alpha=alphas[-1], t=0.5), s_max=4)
-        assert _generator_matrix.cache_info().hits == info.hits + 1
+        # every box state's moves from generator_row, counted by kind through
+        # their distinct rates: (right moves + escape, left moves, injection, exit)
+        tagged = ModelParams(q=2.0, alpha=3.0, gamma=5.0, t=1.0)
+        for s_max in range(1, 13):
+            counts = []
+            for m in range(1 << s_max):
+                targets, _, escape = generator_row(mask_to_config(m), tagged, s_max=s_max)
+                rates = [r for _, r in targets]
+                counts.append([rates.count(1.0) + escape] + [rates.count(r) for r in (2.0, 3.0, 5.0)])
+            counts = np.array(counts)
+            for q, alpha, gamma in itertools.product((0.0, 0.3, 1.0, 2.5), (0.0, 0.2, 1.6, 5.0), (0.0, 0.2, 3.0)):
+                brute = (counts @ np.array([1.0, q, alpha, gamma])).max()
+                assert _max_exit_rate(s_max, q, alpha, gamma) == pytest.approx(brute, rel=1e-15, abs=0)
+
+    def test_window_is_the_site_sum_band(self):
+        from hsep.markov_oracle import _window
+
+        for s_max in (1, 5, 9):
+            sums = [sum(mask_to_config(m)) for m in range(1 << s_max)]
+            for lo, hi in ((-3, 0), (0, 4), (2, 7), (5, 5), (-10, 100), (6, 2)):
+                band = [m for m, x in enumerate(sums) if lo <= x <= hi]
+                assert _window(s_max, lo, hi).tolist() == band
+
+    @pytest.mark.parametrize("s_max", [8, 10])
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    def test_window_matches_full_box_uniformization(self, s_max, q, gamma):
+        # the same Poisson sum with the same Lambda, propagated on all
+        # 2^s_max states
+        from hsep.markov_oracle import _max_exit_rate
+
+        p = ModelParams(q=q, alpha=0.9, gamma=gamma, t=1.0)
+        qt = np.zeros((1 << s_max, 1 << s_max))
+        for m in range(1 << s_max):
+            targets, qt[m, m], _ = generator_row(mask_to_config(m), p, s_max=s_max)
+            for cfg, rate in targets:
+                qt[config_to_mask(cfg), m] += rate
+        lam = _max_exit_rate(s_max, q, p.alpha, gamma)
+        # a loose poisson_tol leaves mass at the window's rim that a too
+        # narrow window would lose
+        for y, t, tol in itertools.product(((), (3, 1), (6, 4, 2)), (0.4, 2.0), (1e-13, 1e-6)):
+            mu = lam * t
+            v = np.zeros(1 << s_max)
+            v[config_to_mask(y)] = 1.0
+            logw = -mu
+            w = kept = math.exp(logw)
+            out = w * v
+            n = 0
+            while kept < 1.0 - tol and (n < mu or w > 0.0):
+                n += 1
+                logw += math.log(mu) - math.log(n)
+                w = math.exp(logw)
+                v = v + qt @ v / lam
+                out += w * v
+                kept += w
+            dist = oracle_distribution(y, t, p, s_max=s_max, poisson_tol=tol)
+            assert np.abs(dist.probs - out).max() <= 1e-15
+            assert abs(dist.tail_bound - (max(0.0, 1.0 - out.sum()) + tol)) <= 1e-15
 
     def test_count_distribution(self):
         p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
@@ -167,6 +218,17 @@ class TestSimulator:
         assert a.counts == b.counts
         c = simulate((2, 1), 0.8, p, 30_000, seed=43)
         assert a.counts != c.counts
+
+    def test_pinned_counts(self):
+        # counts of this run as computed before the final masks were packed
+        # with np.packbits; they must stay bit-identical
+        p = ModelParams(q=0.2, alpha=0.7, gamma=0.3, t=0.8)
+        emp = simulate((2, 1), 0.8, p, 400, seed=42)
+        assert sorted(emp.counts.items()) == [
+            (1, 3), (2, 29), (3, 149), (4, 19), (5, 96), (6, 23), (7, 8), (8, 7), (9, 17),
+            (10, 23), (11, 2), (12, 2), (13, 1), (14, 1), (16, 6), (17, 5), (18, 2), (19, 3),
+            (24, 1), (33, 3),
+        ]
 
     def test_counts_independent_of_batching(self):
         p = ModelParams(q=0.0, alpha=0.7, gamma=0.0, t=1.0)
