@@ -69,11 +69,26 @@ def _emit(args, payload):
         writer.writerow(flat.keys())
         writer.writerow(flat.values())
         text = buf.getvalue().rstrip("\n")
+    _write(args, text)
+
+
+def _write(args, text):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit_with_oracle(args, payload, oracle):
+    """_emit, adding under --oracle the oracle's value, tail bound and difference.
+
+    oracle() returns (probability, tail_bound); it runs only under --oracle.
+    """
+    if args.oracle:
+        prob, tail = oracle()
+        payload.update(oracle=prob, oracle_tail_bound=tail, difference=abs(payload["value"] - prob))
+    _emit(args, payload)
 
 
 def _cmd_asep_prob(args):
@@ -94,12 +109,9 @@ def _cmd_asep_prob(args):
         "value": value,
         "tol": args.tol,
     }
-    if args.oracle:
-        prob, tail = orc.transition_probability_exact(y, x, args.t, params, args.s_max)
-        payload["oracle"] = prob
-        payload["oracle_tail_bound"] = tail
-        payload["difference"] = abs(value - prob)
-    _emit(args, payload)
+    _emit_with_oracle(
+        args, payload, lambda: orc.transition_probability_exact(y, x, args.t, params, args.s_max)
+    )
 
 
 def _cmd_tasep_prob(args):
@@ -116,12 +128,9 @@ def _cmd_tasep_prob(args):
         "x": list(x),
         "value": value,
     }
-    if args.oracle:
-        prob, tail = orc.transition_probability_exact(y, x, args.t, params, args.s_max)
-        payload["oracle"] = prob
-        payload["oracle_tail_bound"] = tail
-        payload["difference"] = abs(value - prob)
-    _emit(args, payload)
+    _emit_with_oracle(
+        args, payload, lambda: orc.transition_probability_exact(y, x, args.t, params, args.s_max)
+    )
 
 
 def _cmd_joint(args):
@@ -156,12 +165,12 @@ def _cmd_current(args):
         "n": args.n,
         "value": value,
     }
-    if args.oracle:
+
+    def oracle():
         counts, tail = orc.particle_count_distribution(y, args.t, params, args.s_max)
-        payload["oracle"] = counts[args.n] if args.n < len(counts) else 0.0
-        payload["oracle_tail_bound"] = tail
-        payload["difference"] = abs(value - payload["oracle"])
-    _emit(args, payload)
+        return (counts[args.n] if args.n < len(counts) else 0.0), tail
+
+    _emit_with_oracle(args, payload, oracle)
 
 
 def _cmd_gt_sum(args):
@@ -235,24 +244,13 @@ def _cmd_oracle(args):
             },
         )
     else:
-        text = dist.to_json()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write(args, dist.to_json())
 
 
 def _cmd_simulate(args):
     params = _params(args)
     y = _parse_config(args.y)
-    emp = orc.simulate(y, args.t, params, args.n, args.seed)
-    text = emp.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, orc.simulate(y, args.t, params, args.n, args.seed).to_json())
 
 
 def _cmd_verify(args):

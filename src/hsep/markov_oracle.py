@@ -1,15 +1,17 @@
 """Ground truth for the exclusion process on the half-line.
 
-Two independent oracles:
+Two independent oracles, both on configurations stored as occupancy masks
+(bit s - 1 for site s):
 
 * exact transition probabilities by uniformization of the generator on a
-  truncated lattice (states are bitmasks of occupied sites, probability that
-  leaks past the cutoff is absorbed and reported as a rigorous tail bound).
-  Every move shifts the site sum by +-1, so only the states within n of the
-  initial site sum, n the number of Poisson steps, are ever propagated;
-* a continuous-time Monte Carlo (Gillespie) simulator, vectorized over
-  trajectories, with counter-based randomness so a fixed seed reproduces
-  bit-identical counts under any execution schedule.
+  truncated lattice (probability that leaks past the cutoff is absorbed and
+  reported as a rigorous tail bound).  Every move shifts the site sum by
+  +-1, so only the states within n of the initial site sum, n the number of
+  Poisson steps, are ever propagated;
+* a continuous-time Monte Carlo (Gillespie) simulator on 62 sites, one uint64
+  mask per trajectory, stepping a shrinking live set of trajectories at once;
+  counter-based randomness makes a fixed seed reproduce bit-identical counts
+  under any batching.
 
 Both support the full model including exit rate gamma > 0, unlike the exact
 contour/Pfaffian formulas.
@@ -32,7 +34,6 @@ __all__ = [
     "as_config",
     "config_to_mask",
     "mask_to_config",
-    "TruncatedStateSpace",
     "OracleDistribution",
     "generator_row",
     "default_cutoff",
@@ -76,33 +77,6 @@ def mask_to_config(mask) -> HalfSpaceConfig:
     return tuple(reversed(sites))
 
 
-@dataclass(frozen=True)
-class TruncatedStateSpace:
-    """All subsets of {1..S_max}; the state index is the occupancy bitmask."""
-
-    s_max: int
-
-    def __post_init__(self):
-        if not 1 <= self.s_max <= 24:
-            raise ValueError(
-                "S_max must be in [1, 24] (2^S_max states are enumerated); "
-                "pass a smaller cutoff or raise it consciously"
-            )
-
-    @property
-    def size(self):
-        return 1 << self.s_max
-
-    def index(self, config):
-        m = config_to_mask(config)
-        if m >= self.size:
-            raise ValueError("configuration exceeds the lattice cutoff")
-        return m
-
-    def config(self, index):
-        return mask_to_config(index)
-
-
 def generator_row(x, params: ModelParams, s_max=None):
     """Transitions out of configuration x: ([(target, rate), ...], diagonal).
 
@@ -144,14 +118,6 @@ def default_cutoff(y, t):
     """
     top = max(y) if y else 1
     return top + int(math.ceil(t + 8.0 * math.sqrt(t) + 4.0))
-
-
-def _popcounts(n_states, s_max):
-    states = np.arange(n_states, dtype=np.int64)
-    pc = np.zeros(n_states, dtype=np.int8)
-    for b in range(s_max):
-        pc += ((states >> b) & 1).astype(np.int8)
-    return pc
 
 
 def _max_exit_rate(s_max, q, alpha, gamma):
@@ -274,9 +240,15 @@ def oracle_distribution(y, t, params: ModelParams, s_max=None, poisson_tol=1e-13
     y = as_config(y)
     if s_max is None:
         s_max = default_cutoff(y, t)
-    space = TruncatedStateSpace(s_max)
-    probs = np.zeros(space.size)
-    probs[space.index(y)] = 1.0
+    if not 1 <= s_max <= 24:
+        raise ValueError(
+            "S_max must be in [1, 24] (2^S_max states are enumerated); "
+            "pass a smaller cutoff or raise it consciously"
+        )
+    if y and y[0] > s_max:
+        raise ValueError("configuration exceeds the lattice cutoff")
+    probs = np.zeros(1 << s_max)
+    probs[config_to_mask(y)] = 1.0
     lam = _max_exit_rate(s_max, params.q, params.alpha, params.gamma)
     if lam * t == 0.0:
         return OracleDistribution(t, params, y, s_max, probs, 0.0)
@@ -297,7 +269,7 @@ def oracle_distribution(y, t, params: ModelParams, s_max=None, poisson_tol=1e-13
     masks = _window(s_max, sum(y) - steps, sum(y) + steps)
     qt = _window_generator(masks, s_max, params.q, params.alpha, params.gamma)
     v = np.zeros(len(masks))
-    v[np.searchsorted(masks, space.index(y))] = 1.0
+    v[np.searchsorted(masks, config_to_mask(y))] = 1.0
     out = weights[0] * v
     for w in weights[1:]:
         v = v + qt.dot(v) / lam
@@ -316,10 +288,8 @@ def transition_probability_exact(y, x, t, params: ModelParams, s_max=None):
 def particle_count_distribution(y, t, params: ModelParams, s_max=None):
     """P(|X_t| = n | X_0 = y) for all n, as an array indexed by n."""
     dist = oracle_distribution(y, t, params, s_max)
-    pc = _popcounts(len(dist.probs), dist.s_max)
-    out = np.zeros(dist.s_max + 1)
-    for n in range(dist.s_max + 1):
-        out[n] = dist.probs[pc == n].sum()
+    nz = np.flatnonzero(dist.probs)
+    out = np.bincount(np.bitwise_count(nz), dist.probs[nz], minlength=dist.s_max + 1)
     return out, dist.tail_bound
 
 
@@ -393,18 +363,28 @@ class EmpiricalDistribution:
 
 
 _SIM_SITES = 62  # particles cannot plausibly travel this far at desk-scale t
+_BONDS = np.uint64((1 << (_SIM_SITES - 1)) - 1)  # bit s - 1: bond (s, s + 1)
+
+
+def _kth_bit(masks, k):
+    """The (k+1)-th lowest set bit of each mask: clear the k lowest, keep the next."""
+    for j in range(int(k.max(initial=0))):
+        masks = np.where(k > j, masks & (masks - 1), masks)
+    return masks & -masks
 
 
 def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
     """Gillespie simulation of n_traj trajectories up to time t.
 
-    Vectorized synchronous stepping; the two uniforms that trajectory g
-    consumes in its r-th step are draws 2g and 2g+1 of the Philox stream
-    keyed by seed with counter (0, 0, 0, r), so results are bit-identical for
-    a fixed seed regardless of batching.  Particles live on sites
-    1.._SIM_SITES; an initial site beyond that is refused, and so is a run
-    in which any trajectory occupies site _SIM_SITES (ArithmeticError),
-    because a particle there cannot jump on.
+    A trajectory is one uint64 occupancy mask (bit s - 1 for site s) on the
+    sites 1.._SIM_SITES.  Each round steps every live trajectory at once and
+    retires those whose next event falls past t.  The two uniforms that
+    trajectory g consumes in its r-th round are draws 2g and 2g+1 of the
+    Philox stream keyed by seed with counter (0, 0, 0, r), so results are
+    bit-identical for a fixed seed regardless of batching.  An initial site
+    beyond _SIM_SITES is refused, and so is a run in which any trajectory
+    occupies site _SIM_SITES (ArithmeticError), because a particle there
+    cannot jump on.
     """
     y = as_config(y)
     if n_traj < 1:
@@ -420,14 +400,13 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
     done = 0
     while done < n_traj:
         nb = min(batch, n_traj - done)
-        occ = np.zeros((nb, _SIM_SITES), dtype=bool)
-        for s in y:
-            occ[:, s - 1] = True
+        live = np.arange(nb)  # batch indices of the live trajectories
+        masks = np.full(nb, config_to_mask(y), dtype=np.uint64)
         times = np.zeros(nb)
-        active = np.ones(nb, dtype=bool)
+        finished = []
         rnd = 0
-        while np.any(active):
-            if occ[:, -1].any():
+        while len(live):
+            if np.any(masks >> (_SIM_SITES - 1)):
                 raise ArithmeticError(
                     f"simulate: a particle reached site {_SIM_SITES}, the edge of "
                     f"its {_SIM_SITES}-site lattice"
@@ -437,25 +416,22 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
                 np.random.Philox(key=seed, counter=[done // 2, 0, 0, rnd])
             )
             skip = 2 * (done % 2)
-            u = gen.random(2 * nb + skip)[skip:].reshape(nb, 2)
+            u = gen.random(2 * nb + skip)[skip:].reshape(nb, 2)[live]
             rnd += 1
 
-            right = occ[:, :-1] & ~occ[:, 1:]
-            left = occ[:, 1:] & ~occ[:, :-1]
-            nr = right.sum(axis=1).astype(float)
-            nl = left.sum(axis=1).astype(float)
-            r_inj = np.where(~occ[:, 0], alpha, 0.0)
-            r_out = np.where(occ[:, 0], gamma, 0.0)
+            right = masks & ~(masks >> 1) & _BONDS  # bit s - 1: s occupied, s + 1 empty
+            left = (masks >> 1) & ~masks & _BONDS  # bit s - 1: s empty, s + 1 occupied
+            nr = np.bitwise_count(right).astype(float)
+            nl = np.bitwise_count(left).astype(float)
+            site1 = (masks & 1) == 1
+            r_inj = np.where(~site1, alpha, 0.0)
+            r_out = np.where(site1, gamma, 0.0)
             rate = nr + q * nl + r_inj + r_out
 
             with np.errstate(divide="ignore"):
                 dt = np.where(rate > 0, -np.log1p(-u[:, 0]) / np.maximum(rate, 1e-300), np.inf)
             newt = times + dt
-            fire = active & (newt <= t)
-            active = active & (newt <= t)
-            times = np.where(fire, newt, times)
-            if not np.any(fire):
-                break
+            fire = newt <= t
 
             xi = u[:, 1] * rate
             is_right = fire & (xi < nr)
@@ -463,27 +439,16 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
             is_inj = fire & ~is_right & ~is_left & (xi < nr + q * nl + r_inj)
             is_out = fire & ~is_right & ~is_left & ~is_inj
 
-            if np.any(is_right):
-                k = np.floor(xi[is_right]).astype(int)  # k-th movable particle
-                rows = np.nonzero(is_right)[0]
-                cs = np.cumsum(right[rows], axis=1, dtype=np.int8)
-                pos = np.argmax((cs == (k + 1)[:, None]) & right[rows], axis=1)
-                occ[rows, pos] = False
-                occ[rows, pos + 1] = True
-            if np.any(is_left):
-                k = np.floor((xi[is_left] - nr[is_left]) / q).astype(int)
-                rows = np.nonzero(is_left)[0]
-                cs = np.cumsum(left[rows], axis=1, dtype=np.int8)
-                pos = np.argmax((cs == (k + 1)[:, None]) & left[rows], axis=1)
-                occ[rows, pos + 1] = False
-                occ[rows, pos] = True
-            if np.any(is_inj):
-                occ[np.nonzero(is_inj)[0], 0] = True
-            if np.any(is_out):
-                occ[np.nonzero(is_out)[0], 0] = False
+            # k-th movable particle: the k-th set bit of its move mask
+            b = np.zeros_like(masks)
+            b[is_right] = _kth_bit(right[is_right], np.floor(xi[is_right]).astype(int))
+            b[is_left] = _kth_bit(left[is_left], np.floor((xi[is_left] - nr[is_left]) / q).astype(int))
+            masks ^= b | b << 1 | (is_inj | is_out)
 
-        masks = np.packbits(occ, axis=1, bitorder="little").view("<u8").ravel()
-        vals, cnts = np.unique(masks, return_counts=True)
+            finished.append(masks[~fire])
+            live, masks, times = live[fire], masks[fire], newt[fire]
+
+        vals, cnts = np.unique(np.concatenate(finished), return_counts=True)
         for m, c in zip(vals.tolist(), cnts.tolist()):
             counts[int(m)] = counts.get(int(m), 0) + int(c)
         done += nb

@@ -193,6 +193,11 @@ class TestExitCodes:
         assert rc == 3
         assert "62-site lattice" in capsys.readouterr().err
 
+    def test_oracle_beyond_24_sites_is_3(self, capsys):
+        rc = main(["oracle", "--y", "30", "--alpha", "0.5", "--t", "1"])
+        assert rc == 3
+        assert "S_max must be in [1, 24]" in capsys.readouterr().err
+
     def test_kernel_underflow_is_4(self, capsys):
         rc = main(["tasep-prob", "--x", "1", "--alpha", "0.5", "--t", "760"])
         assert rc == 4

@@ -1,5 +1,6 @@
 """Uniformization oracle and the Gillespie simulator."""
 
+import hashlib
 import itertools
 import math
 
@@ -16,16 +17,13 @@ from hsep.markov_oracle import (
     particle_count_distribution,
     simulate,
     transition_probability_exact,
-    TruncatedStateSpace,
 )
 
 
 class TestConfigs:
     def test_roundtrip(self):
-        space = TruncatedStateSpace(8)
         for cfg in ((), (1,), (5, 3, 1), (8, 7)):
             assert mask_to_config(config_to_mask(cfg)) == cfg
-            assert space.config(space.index(cfg)) == cfg
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -189,6 +187,29 @@ class TestUniformization:
         counts, _ = particle_count_distribution((), 1.0, p, s_max=15)
         assert abs(counts[0] - math.exp(-0.5)) < 1e-12
         assert abs(counts.sum() - 1.0) < 1e-10
+        # with left moves and exits: the table's mass summed by particle number
+        p = ModelParams(q=0.3, alpha=0.9, gamma=0.2, t=1.0)
+        counts, tail = particle_count_distribution((4, 2), 1.0, p, s_max=12)
+        dist = oracle_distribution((4, 2), 1.0, p, s_max=12)
+        by_n = np.zeros(13)
+        for m, prob in enumerate(dist.probs):
+            by_n[len(mask_to_config(m))] += prob
+        assert len(counts) == 13
+        assert np.abs(counts - by_n).max() <= 1e-15
+        assert tail == dist.tail_bound
+
+    def test_box_is_capped_at_24_sites(self):
+        # the oracle enumerates 2^s_max masks, so it refuses a box past 24
+        # sites, and a cutoff below the initial configuration
+        p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
+        with pytest.raises(ValueError, match="S_max must be in"):
+            oracle_distribution((30,), 1.0, p)
+        for s_max in (0, 25):
+            with pytest.raises(ValueError, match="S_max must be in"):
+                oracle_distribution((), 1.0, p, s_max=s_max)
+        with pytest.raises(ValueError, match="exceeds the lattice cutoff"):
+            oracle_distribution((9, 2), 1.0, p, s_max=8)
+        assert oracle_distribution((), 0.1, p, s_max=1).probability(()) > 0.0
 
     def test_serialization(self):
         import json
@@ -229,6 +250,19 @@ class TestSimulator:
             (10, 23), (11, 2), (12, 2), (13, 1), (14, 1), (16, 6), (17, 5), (18, 2), (19, 3),
             (24, 1), (33, 3),
         ]
+
+    def test_pinned_counts_many_particles(self):
+        # up to five particles; the run makes 9,445 right moves (5,371 of them
+        # by a particle other than the lowest movable one), 3,181 left moves
+        # (1,270), 1,389 injections and 554 exits.  The digest pins the counts
+        # that a boolean site-lattice implementation of the same draws gave.
+        p = ModelParams(q=0.5, alpha=1.2, gamma=0.2, t=2.0)
+        for batch in (None, 333):
+            counts = sorted(simulate((5, 3, 1), 2.0, p, 2000, seed=9, batch=batch).counts.items())
+            assert len(counts) == 206
+            assert sorted(counts, key=lambda kv: -kv[1])[:3] == [(15, 78), (23, 64), (27, 64)]
+            digest = hashlib.sha256(repr(counts).encode()).hexdigest()
+            assert digest == "176e5838a1c4f060ad4f9c7b706b696fb1d83b03124ce4f94f2181259b713351"
 
     def test_counts_independent_of_batching(self):
         p = ModelParams(q=0.0, alpha=0.7, gamma=0.0, t=1.0)
