@@ -323,11 +323,11 @@ def _at_point(y, w, params):
     return complex(vals.reshape(()))
 
 
-def _integrand_core(y, n, t, params, fam: NestedContourFamily, nodes, sites):
+def _integrand_core(y, n, params, fam: NestedContourFamily, nodes, sites):
     """The arguments of _contract on the nodes: the terms of F, the inverted
     cross factor, the per-variable factor times the trapezoid weight, and
     per variable d the x powers for each value in sites[d]."""
-    q, alpha = params.q, params.alpha
+    q, alpha, t = params.q, params.alpha, params.t
     node_arrays = []
     for d in range(n):
         r = fam.radii[d]
@@ -383,6 +383,7 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
     Raises QuadratureError if 384 nodes are reached without convergence, and
     ArithmeticError if a result keeps an imaginary part above max(tol, 1e-9).
     """
+    params = params.at(t)
     params.require_exact()
     if nodes < 1:
         raise ValueError("nodes must be >= 1: with none, every pass sums to 0")
@@ -392,7 +393,7 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
         raise ValueError("all target configurations must have n particles")
     if len(y) > n:
         return {tuple(x): 0.0 for x in xs}, {"nodes": 0, "max_imag": 0.0}
-    pref = math.exp(-params.alpha * t)
+    pref = math.exp(-params.alpha * params.t)
     if n == 0:
         return {(): pref}, {"nodes": 0, "max_imag": 0.0}
 
@@ -400,7 +401,7 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
     pos = [{v: i for i, v in enumerate(vs)} for vs in sites]
 
     def values(pq, fam, m_nodes):
-        vals = _contract(*_integrand_core(y, n, t, pq, fam, m_nodes, sites))
+        vals = _contract(*_integrand_core(y, n, pq, fam, m_nodes, sites))
         return {tuple(x): pref * vals[tuple(p[v] for p, v in zip(pos, x))] for x in xs}
 
     def finish(cur, nodes, **diag):
@@ -421,14 +422,14 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
         # use a fixed 96-node grid: at small q the signed sum both roughens
         # the integrand (the flip-cross factor develops a 1 - w_j/w_i
         # singularity with a q^-k prefactor) and carries a cancellation
-        # noise floor ~ q^-2 eps, which defeats node-doubling certificates;
-        # the calibrated cubic extrapolation delivers ~5e-8 absolute, worst
-        # over the desk-scale grid at boundary-occupied initial data.
+        # noise floor ~ q^-2 eps, which defeats node-doubling certificates.
+        # The error grows with y_1 (n = 2, alpha = 0.4, t = 2: 6.1e-8 at y_1 = 5,
+        # 2.1e-6 at y_1 = 8; < 3e-8 at t <= 1), and no error estimate is returned.
         h = 0.015
         weights = (4.0, -6.0, 4.0, -1.0)
         runs = []
         for k in (1, 2, 3, 4):
-            pq = ModelParams(q=k * h, alpha=params.alpha, gamma=0.0, t=params.t)
+            pq = replace(params, q=k * h)
             fam = default_nested_contours(k * h, params.alpha, n)
             runs.append(values(pq, fam, 96))
         cur = {x: sum(wt * run[x] for wt, run in zip(weights, runs)) for x in runs[0]}

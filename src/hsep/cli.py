@@ -42,12 +42,12 @@ def _parse_config(text):
     return orc.as_config(sites)
 
 
-def _params(args, t=None):
+def _params(args):
     return ModelParams(
         q=getattr(args, "q", 0.0),
         alpha=args.alpha,
         gamma=getattr(args, "gamma", 0.0),
-        t=args.t if t is None else t,
+        t=args.t,
     )
 
 
@@ -216,9 +216,10 @@ def _cmd_conditional(args):
     }
     if args.oracle:
         dist = orc.oracle_distribution(y, args.t, params, args.s_max)
-        o, mass = orc.conditional_event_probability(dist, args.n, labels, thresholds)
-        payload["conditional"]["oracle"] = o
-        payload["conditional"]["difference"] = abs(value - o)
+        o, _ = orc.conditional_event_probability(dist, args.n, labels, thresholds)
+        payload["conditional"].update(
+            oracle=o, oracle_tail_bound=dist.tail_bound, difference=abs(value - o)
+        )
     _emit(args, payload)
 
 

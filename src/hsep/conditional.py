@@ -38,7 +38,7 @@ from .kernels import (
     kernel_Xi_upper,
     kernel_Xi_virtual,
     phi_conv,
-    rising,
+    phi_virtual,
 )
 from .markov_oracle import as_config
 from .pfaffian import pfaffian
@@ -85,12 +85,6 @@ def virtual_pairing_matrix(n, m, y, params):
         for b in range(1, m + 1):
             mat[a - 1, b - 1] = kernel_Xi_virtual(n, a, b, y[b - 1], params)
     return mat
-
-
-def _basis_poly(l, n, x):
-    """e_l(x) = (x)_(N-l)/(N-l)! as a float (polynomial of degree N-l)."""
-    d = n - l
-    return float(rising(x, d)) / math.factorial(d)
 
 
 @dataclass
@@ -188,7 +182,7 @@ class ConditionalKernel:
         span = range(1, n + 1)
         a = [[kernel_Q(n - i + 1, n - l + 2, x, 1, params) for l in span] for i, x in points]
         b = [[kernel_Q(n - l + 2, n - i + 1, 1, x, params) for l in span] for i, x in points]
-        d = [[_basis_poly(l, i, x) if l <= i else 0.0 for l in span] for i, x in points]
+        d = [[float(phi_virtual(l, i, x)) for l in span] for i, x in points]
         xi = np.array(
             [[kernel_Xi_upper(n, i, k, y[k - 1], x, params) for k in range(1, self.m + 1)]
              for i, x in points],
@@ -254,8 +248,7 @@ def conditional_kernel(n, m, y, params: ModelParams):
 
 def conditional_distribution(p_labels, a_thresholds, n, m, y, t, params: ModelParams):
     """P[X_t(p_k) > a_k for all k | |X_t| = N]: `ConditionalKernel.gap_probability`."""
-    if params.t != t:
-        params = ModelParams(q=params.q, alpha=params.alpha, gamma=0.0, t=t)
+    params = params.at(t)
     return conditional_kernel(n, m, y, params).gap_probability(p_labels, a_thresholds)
 
 
@@ -378,13 +371,18 @@ def _fullspace_f(n, j, k, y, x, params):
     return (-1.0) ** k * kernel_Xi_upper(n, j, k, y[k - 1], x, params)
 
 
+def _fullspace_params(t):
+    """The full-space process is the half-line one with no injection."""
+    return ModelParams(alpha=0.0, t=t)
+
+
 def _support_range(n, y, t, margin=60):
     lo = min(y) - n - 2
     hi = max(y) + int(math.ceil(4 * t + margin))
     return lo, hi
 
 
-def fullspace_biorthogonal(j, y, t, n=None, params: ModelParams = None):
+def fullspace_biorthogonal(j, y, t, n=None):
     """Solve the full-space biorthogonalization for particle label j.
 
     Returns the coefficient rows of g^j_0..g^j_{j-1} in the monomial basis:
@@ -394,9 +392,8 @@ def fullspace_biorthogonal(j, y, t, n=None, params: ModelParams = None):
     y = tuple(int(v) for v in y)
     if n is None:
         n = len(y)
-    if params is None:
-        params = ModelParams(q=0.0, alpha=0.0, gamma=0.0, t=t)
-    lo, hi = _support_range(n, y, t)
+    params = _fullspace_params(t)
+    lo, hi = _support_range(n, y, params.t)
     xs = np.arange(lo, hi + 1)
     fvals = np.zeros((j, len(xs)))
     for k in range(1, j + 1):
@@ -415,20 +412,15 @@ def fullspace_biorthogonal(j, y, t, n=None, params: ModelParams = None):
 class FullSpaceKernel:
     """The determinantal kernel of the M = N (full-space) reduction."""
 
-    def __init__(self, n, y, t, params: ModelParams = None):
+    def __init__(self, n, y, t):
         self.n = n
         self.y = tuple(int(v) for v in y)
-        if params is None:
-            params = ModelParams(q=0.0, alpha=0.0, gamma=0.0, t=t)
-        self.params = params
-        self.t = t
+        self.params = _fullspace_params(t)
         self._g = {}
 
     def _gcoeffs(self, j):
         if j not in self._g:
-            self._g[j] = fullspace_biorthogonal(
-                j, self.y, self.t, self.n, self.params
-            )
+            self._g[j] = fullspace_biorthogonal(j, self.y, self.params.t, self.n)
         return self._g[j]
 
     def value(self, i, x1, j, x2):
@@ -445,8 +437,8 @@ class FullSpaceKernel:
         return out
 
 
-def fullspace_kernel(n, y, t, params: ModelParams = None):
-    return FullSpaceKernel(n, y, t, params)
+def fullspace_kernel(n, y, t):
+    return FullSpaceKernel(n, y, t)
 
 
 def fullspace_distribution(p_labels, a_thresholds, n, y, t):

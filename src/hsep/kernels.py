@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -62,8 +62,12 @@ class ModelParams:
     t: float = 1.0
 
     def __post_init__(self):
-        if self.q < 0 or self.alpha < 0 or self.gamma < 0 or self.t < 0:
-            raise ValueError("rates and time must be non-negative")
+        if not all(0 <= v < math.inf for v in (self.q, self.alpha, self.gamma, self.t)):
+            raise ValueError("rates and time must be finite and non-negative")
+
+    def at(self, t):
+        """These rates at time t: the one time an evaluator reads."""
+        return self if t == self.t else replace(self, t=t)
 
     def require_exact(self):
         """The exact integral formulas all require gamma = 0."""

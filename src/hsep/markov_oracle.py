@@ -187,9 +187,8 @@ def _window_generator(masks, s_max, q, alpha, gamma):
 
 @dataclass
 class OracleDistribution:
-    """Exact time-t distribution over the truncated state space."""
+    """Exact time-t distribution over the truncated state space (t = params.t)."""
 
-    t: float
     params: ModelParams
     source: HalfSpaceConfig
     s_max: int
@@ -210,7 +209,7 @@ class OracleDistribution:
         entries.sort(key=lambda e: -e["p"])
         return json.dumps(
             {
-                "t": self.t,
+                "t": self.params.t,
                 "params": {
                     "q": self.params.q,
                     "alpha": self.params.alpha,
@@ -237,9 +236,10 @@ def oracle_distribution(y, t, params: ModelParams, s_max=None, poisson_tol=1e-13
     both the Poisson truncation and the probability absorbed at the lattice
     cutoff.  probs is dense over all 2^s_max masks.
     """
+    params = params.at(t)
     y = as_config(y)
     if s_max is None:
-        s_max = default_cutoff(y, t)
+        s_max = default_cutoff(y, params.t)
     if not 1 <= s_max <= 24:
         raise ValueError(
             "S_max must be in [1, 24] (2^S_max states are enumerated); "
@@ -250,10 +250,10 @@ def oracle_distribution(y, t, params: ModelParams, s_max=None, poisson_tol=1e-13
     probs = np.zeros(1 << s_max)
     probs[config_to_mask(y)] = 1.0
     lam = _max_exit_rate(s_max, params.q, params.alpha, params.gamma)
-    if lam * t == 0.0:
-        return OracleDistribution(t, params, y, s_max, probs, 0.0)
+    mu = lam * params.t
+    if mu == 0.0:
+        return OracleDistribution(params, y, s_max, probs, 0.0)
 
-    mu = lam * t
     # Poisson(mu) weights, stopping once the kept weight covers
     # 1 - poisson_tol (or no weight is left past the mode): the weight left
     # out is missing from probs.sum(), so it enters the tail bound.
@@ -276,7 +276,7 @@ def oracle_distribution(y, t, params: ModelParams, s_max=None, poisson_tol=1e-13
         out += w * v
     probs[masks] = out
     tail = max(0.0, 1.0 - float(probs.sum())) + poisson_tol
-    return OracleDistribution(t, params, y, s_max, probs, tail)
+    return OracleDistribution(params, y, s_max, probs, tail)
 
 
 def transition_probability_exact(y, x, t, params: ModelParams, s_max=None):
@@ -320,12 +320,11 @@ def conditional_event_probability(dist: OracleDistribution, n, labels, threshold
 
 
 class EmpiricalDistribution:
-    """Final-state counts of a batch of trajectories, with standard errors."""
+    """Final-state counts of trajectories at time params.t, with standard errors."""
 
-    def __init__(self, counts, n_traj, t, params, source, seed):
+    def __init__(self, counts, n_traj, params, source, seed):
         self.counts = counts  # dict: bitmask -> count
         self.n_traj = n_traj
-        self.t = t
         self.params = params
         self.source = source
         self.seed = seed
@@ -348,7 +347,7 @@ class EmpiricalDistribution:
         ]
         return json.dumps(
             {
-                "t": self.t,
+                "t": self.params.t,
                 "params": {
                     "q": self.params.q,
                     "alpha": self.params.alpha,
@@ -386,6 +385,7 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
     occupies site _SIM_SITES (ArithmeticError), because a particle there
     cannot jump on.
     """
+    params = params.at(t)
     y = as_config(y)
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
@@ -431,7 +431,7 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
             with np.errstate(divide="ignore"):
                 dt = np.where(rate > 0, -np.log1p(-u[:, 0]) / np.maximum(rate, 1e-300), np.inf)
             newt = times + dt
-            fire = newt <= t
+            fire = newt <= params.t
 
             xi = u[:, 1] * rate
             is_right = fire & (xi < nr)
@@ -452,4 +452,4 @@ def simulate(y, t, params: ModelParams, n_traj, seed, batch=None):
         for m, c in zip(vals.tolist(), cnts.tolist()):
             counts[int(m)] = counts.get(int(m), 0) + int(c)
         done += nb
-    return EmpiricalDistribution(counts, n_traj, t, params, y, seed)
+    return EmpiricalDistribution(counts, n_traj, params, y, seed)

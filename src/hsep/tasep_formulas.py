@@ -130,14 +130,13 @@ def tasep_transition_probability(y, x, t, params: ModelParams):
 
     Requires q = gamma = 0 and, for M > 0, the separation y_M > N - M + 1.
     """
+    params = params.at(t)
     params.require_tasep()
-    if params.t != t:
-        params = ModelParams(q=0.0, alpha=params.alpha, gamma=0.0, t=t)
     x = as_config(x)
     n = len(x)
     y = require_well_separated(y, n)
     if n == 0:
-        return math.exp(-params.alpha * t)
+        return math.exp(-params.alpha * params.t)
     return _real(_pfaffian_value(x, y, params, shift=0))
 
 
@@ -147,6 +146,7 @@ def joint_distribution(y, s, t, params: ModelParams):
     s must be strictly decreasing with s_N >= 1; uses the shifted-index
     Pfaffian (kernels Q_{i+1,j+1}, p_{i+1}, U_{i-k+1} at the thresholds).
     """
+    params = params.at(t)
     params.require_tasep()
     s = as_config(s)
     n = len(s)
@@ -162,12 +162,13 @@ def boundary_current_probability(n, y, t, params: ModelParams):
     All thresholds equal 1; the row-reduced form of the joint distribution
     stays valid there even though the s_k are no longer strictly decreasing.
     """
+    params = params.at(t)
     params.require_tasep()
     y = require_well_separated(y, n)
     if n == 0:
         if len(y) > 0:
             return 0.0
-        return math.exp(-params.alpha * t)
+        return math.exp(-params.alpha * params.t)
     s = tuple([1] * n)
     return _real(_pfaffian_value(s, y, params, shift=1))
 
@@ -332,6 +333,7 @@ def gt_pattern_sum(x, y, t, params: ModelParams, z_max=None, cap=10**7):
     one pattern of weight 1.  cap bounds the number of patterns, not of top
     rows.
     """
+    params = params.at(t)
     params.require_tasep()
     x = as_config(x)
     n = len(x)
@@ -340,12 +342,12 @@ def gt_pattern_sum(x, y, t, params: ModelParams, z_max=None, cap=10**7):
     if m and (n + m) % 2 == 1:
         raise ValueError("GT decomposition with M > 0 needs N + M even")
     if z_max is None:
-        z_max = suggest_z_max(x, t)
+        z_max = suggest_z_max(x, params.t)
     if x and z_max < x[0]:
         raise ValueError(f"z_max = {z_max} is below x_1 = {x[0]}: no GT pattern fits")
     # (-1)^M: the Xi columns take y_1..y_M where the U columns take y_M..y_1,
     # and Xi_{N-k} carries (-1)^k, so (-1)^(C(M,2) + C(M+1,2)) = (-1)^M.
-    sign = (-1.0) ** (math.comb(n, 2) + m) * math.exp(-params.alpha * t)
+    sign = (-1.0) ** (math.comb(n, 2) + m) * math.exp(-params.alpha * params.t)
     if (n + m) % 2 == 1:
         sign *= params.alpha
     counted = _top_rows(x, z_max, cap)

@@ -68,13 +68,15 @@ class TestSubcommands:
         rc, out = run_cli(
             [
                 "conditional", "--n", "2", "--p", "2", "--a", "1",
-                "--t", "1", "--alpha", "0.5",
+                "--t", "1", "--alpha", "0.5", "--oracle",
             ],
             capsys,
         )
         assert rc == 0
-        payload = json.loads(out)
-        assert payload["conditional"]["residuals"] == {"gram_cond": 1.0}
+        payload = json.loads(out)["conditional"]
+        assert payload["residuals"] == {"gram_cond": 1.0}
+        assert payload["oracle_tail_bound"] < 1e-9
+        assert payload["difference"] < 1e-9
 
     def test_oracle_and_simulate(self, capsys):
         rc, out = run_cli(
@@ -179,6 +181,12 @@ class TestExitCodes:
             capsys,
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("t, alpha", [("nan", "0.5"), ("inf", "0.5"), ("1", "nan")])
+    def test_non_finite_time_or_rate_is_3(self, capsys, t, alpha):
+        rc = main(["tasep-prob", "--x", "1", "--alpha", alpha, "--t", t])
+        assert rc == 3
+        assert "finite and non-negative" in capsys.readouterr().err
 
     def test_bad_config_is_3(self, capsys):
         rc, _ = run_cli(
