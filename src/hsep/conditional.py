@@ -1,14 +1,14 @@
 """Conditional multipoint distributions of the half-line TASEP.
 
-Assembles the correlation kernel K = K0 - K_fin of the conditioned point
-process and evaluates the conditional joint distribution Pf(J - chi K chi)
-as a finite Pfaffian after the threshold projection.  By the Pfaffian
-Eynard-Mehta theorem the finite-rank part K_fin depends on the kernel
+Assembles the skew correlation kernel K = K0 + L G^-1 L^T of the
+conditioned point process and evaluates the conditional joint distribution
+Pf(J - chi K chi) as a finite Pfaffian after the threshold projection.  By
+the Pfaffian Eynard-Mehta theorem the finite-rank part depends on the kernel
 pairings only through the inverse of their bordered Gram matrix
 
     G = [[script-N, script-P], [-script-P^T, 0]],
 
-so K_fin is one linear solve against G.  The paper's skew-biorthogonal
+so it is one linear solve against G.  The paper's skew-biorthogonal
 family Phi and biorthogonal family Upsilon are one factorization of G^-1
 (for example `skew_borel(moment_matrix(N, params))` at M = 0) and are
 never formed.  A brute-force construction of the same kernel by dense
@@ -40,8 +40,8 @@ from .kernels import (
     phi_conv,
     phi_virtual,
 )
-from .markov_oracle import as_config
-from .pfaffian import pfaffian
+from .markov_oracle import as_config, require_event
+from .pfaffian import pfaffian, symplectic_j
 from .tasep_formulas import require_well_separated
 
 __all__ = [
@@ -83,7 +83,7 @@ def virtual_pairing_matrix(n, m, y, params):
     mat = np.zeros((n, m), dtype=complex)
     for a in range(1, n + 1):
         for b in range(1, m + 1):
-            mat[a - 1, b - 1] = kernel_Xi_virtual(n, a, b, y[b - 1], params)
+            mat[a - 1, b - 1] = kernel_Xi_virtual(a, b, y[b - 1], params)
     return mat
 
 
@@ -144,20 +144,21 @@ def build_skew_biorthogonal(n, m, y, params: ModelParams):
 
 
 class ConditionalKernel:
-    """The 2x2-block correlation kernel K = K0 - K_fin.
+    """The skew 2x2-block correlation kernel K = K0 + L G^-1 L^T.
 
-    K_fin has rank at most 2(N + M) and is one solve against the bordered
-    Gram matrix G.  At a point z = (i, x) take the rows, each of length
-    N + M,
+    L G^-1 L^T has rank at most 2(N + M) and is one solve against the
+    bordered Gram matrix G.  L interleaves two rows of length N + M per
+    point z = (i, x),
 
-        E(z) = (a(z), xi(z)),   F(z) = (b(z), -xi(z)),   D(z) = (d(z), 0),
+        E(z) = (a(z), xi(z)),   D(z) = (d(z), 0),
 
     with a(z)_l = Q_{N-i+1,N-l+2}(x, 1) = (Psi_{(i,N)} star e_l)(x),
-    b(z)_l = Q_{N-l+2,N-i+1}(1, x) = (e_l star Psi_{(N,i)})(x),
     d(z)_l = (e_l diamond phi_{-(i,N]})(x) = (x)_(i-l)/(i-l)! for l <= i,
-    and xi(z)_k = Xi^(i)_{N-k}(x).  The block of K_fin at (z1, z2) is
+    and xi(z)_k = Xi^(i)_{N-k}(x).  The paper's third row family F is -E, since
+    (e_l star Psi_{(N,i)})(x) = Q_{N-l+2,N-i+1}(1, x) = -a(z)_l by the
+    antisymmetry of Q, so the finite-rank block at (z1, z2) is
 
-        [[E1 G^-1 F2^T, -E1 G^-1 D2^T], [D1 G^-1 F2^T, -D1 G^-1 D2^T]],
+        [[E1 G^-1 E2^T, E1 G^-1 D2^T], [D1 G^-1 E2^T, D1 G^-1 D2^T]],
 
     from one solve with S G S against the rows times S for all points.
     Writing G^-1 through Phi and Upsilon gives the paper's KA + KB + KC.
@@ -177,33 +178,31 @@ class ConditionalKernel:
         return np.array([[b11, b12], [b21, 0.0]], dtype=complex)
 
     def _rows(self, points):
-        """The rows E, F and D of every point, each a (P, N + M) array."""
+        """The rows E and D of every point, each a (P, N + M) array."""
         n, y, params = self.n, self.gram.y, self.params
         span = range(1, n + 1)
         a = [[kernel_Q(n - i + 1, n - l + 2, x, 1, params) for l in span] for i, x in points]
-        b = [[kernel_Q(n - l + 2, n - i + 1, 1, x, params) for l in span] for i, x in points]
         d = [[float(phi_virtual(l, i, x)) for l in span] for i, x in points]
         xi = np.array(
-            [[kernel_Xi_upper(n, i, k, y[k - 1], x, params) for k in range(1, self.m + 1)]
+            [[kernel_Xi_upper(i, k, y[k - 1], x, params) for k in range(1, self.m + 1)]
              for i, x in points],
             dtype=complex,
         ).reshape(len(points), self.m)
         return (
             np.hstack([np.array(a, dtype=complex), xi]),
-            np.hstack([np.array(b, dtype=complex), -xi]),
             np.hstack([np.array(d, dtype=complex), np.zeros_like(xi)]),
         )
 
     def matrix(self, points):
-        """The 2P x 2P matrix of the blocks K(z_a; z_b) over points z = (i, x)."""
-        e, f, d = (rows * self.gram.scale for rows in self._rows(points))
-        left = np.stack([e, d], axis=1).reshape(2 * len(points), -1)
-        right = np.stack([f, -d], axis=1).reshape(2 * len(points), -1)
-        mat = -(left @ np.linalg.solve(self.gram.matrix, right.T))
+        """The 2P x 2P skew matrix of the blocks K(z_a; z_b), z = (i, x), from
+        its strict upper triangle.  K0's diagonal blocks vanish: Q_{a,a}(x, x) = 0."""
+        e, d = (rows * self.gram.scale for rows in self._rows(points))
+        rows = np.stack([e, d], axis=1).reshape(2 * len(points), -1)
+        upper = np.triu(rows @ np.linalg.solve(self.gram.matrix, rows.T), 1)
         for a, (i, x1) in enumerate(points):
-            for b, (j, x2) in enumerate(points):
-                mat[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] += self.k0(i, x1, j, x2)
-        return mat
+            for b in range(a + 1, len(points)):
+                upper[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] += self.k0(i, x1, *points[b])
+        return upper - upper.T
 
     def block(self, i, x1, j, x2):
         """The 2x2 kernel block K(i, x1; j, x2)."""
@@ -212,31 +211,17 @@ class ConditionalKernel:
     def gap_probability(self, p_labels, a_thresholds):
         """P[X_t(p_k) > a_k for all k | |X_t| = N] as a finite Fredholm Pfaffian.
 
-        The chi-bar projection keeps the points {(p_k, x): 1 <= x <= a_k},
-        making Pf(J - chi K chi) a finite Pfaffian; an empty projection (all
-        a_k = 0) gives exactly 1.
+        The chi-bar projection keeps the set of points {(p_k, x): 1 <= x <= a_k}
+        (a repeated label contributes each point once), making Pf(J - chi K chi)
+        a finite Pfaffian; an empty projection (all a_k = 0) gives exactly 1.
         """
-        p_labels = list(p_labels)
-        a_thresholds = list(a_thresholds)
-        if len(p_labels) != len(a_thresholds):
-            raise ValueError("labels and thresholds must pair up")
-        if any(not 1 <= p <= self.n for p in p_labels):
-            raise ValueError("labels must lie in 1..N")
-        if any(a < 0 for a in a_thresholds):
-            raise ValueError("thresholds must be >= 0")
-        points = [
+        p_labels, a_thresholds = require_event(p_labels, a_thresholds, self.n)
+        points = list(dict.fromkeys(
             (p, x) for p, a in zip(p_labels, a_thresholds) for x in range(1, a + 1)
-        ]
+        ))
         if not points:
             return 1.0
-
-        same = np.array([[za == zb for zb in points] for za in points])
-        mat = np.kron(same, [[0.0, 1.0], [-1.0, 0.0]]) - self.matrix(points)
-        # K is skew only up to rounding: take the blocks above the diagonal and
-        # mirror them, then clean the diagonal blocks' symmetric noise
-        blocks = np.arange(len(mat)) // 2
-        mat = np.where(blocks[:, None] > blocks[None, :], -mat.T, mat)
-        value = pfaffian((mat - mat.T) / 2.0)
+        value = pfaffian(symplectic_j(2 * len(points)) - self.matrix(points))
         if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
             raise ArithmeticError(f"conditional Pfaffian has imaginary part {value.imag:g}")
         return value.real
@@ -366,9 +351,9 @@ def correlation_kernel_bruteforce(n, m, y, params: ModelParams, x_max):
 # ---------------------------------------------------------------------------
 
 
-def _fullspace_f(n, j, k, y, x, params):
+def _fullspace_f(j, k, y, x, params):
     """f^j_{j-k}(x) = (-1)^k Xi^(j)_{N-k}(x), defined for any integer x, y_k."""
-    return (-1.0) ** k * kernel_Xi_upper(n, j, k, y[k - 1], x, params)
+    return (-1.0) ** k * kernel_Xi_upper(j, k, y[k - 1], x, params)
 
 
 def _fullspace_params(t):
@@ -398,7 +383,7 @@ def fullspace_biorthogonal(j, y, t, n=None):
     fvals = np.zeros((j, len(xs)))
     for k in range(1, j + 1):
         fvals[k - 1] = [
-            complex(_fullspace_f(n, j, k, y, int(x), params)).real for x in xs
+            complex(_fullspace_f(j, k, y, int(x), params)).real for x in xs
         ]
     moments = np.zeros((j, j))
     for mdeg in range(j):
@@ -431,7 +416,7 @@ class FullSpaceKernel:
                 out -= math.comb(x2 - x1 + d - 1, d - 1)
         g = self._gcoeffs(j)
         for k in range(1, j + 1):
-            fv = complex(_fullspace_f(self.n, i, k, self.y, x1, self.params)).real
+            fv = complex(_fullspace_f(i, k, self.y, x1, self.params)).real
             gv = float(np.polyval(g[k - 1][::-1], x2))
             out += fv * gv
         return out

@@ -285,7 +285,7 @@ def kernel_Xi(n, k, y_k, z, params):
     return (-1.0) ** k * table_for(params).annulus(k - n, z - y_k)
 
 
-def kernel_Xi_upper(n, i, k, y_k, x, params):
+def kernel_Xi_upper(i, k, y_k, x, params):
     """Xi^(i)_{N-k}(x) = phi_{(i,N]} * Xi_{N-k}, as the closed contour form.
 
     (-1)^i times the integral over a contour around both 0 and 1 of
@@ -294,7 +294,7 @@ def kernel_Xi_upper(n, i, k, y_k, x, params):
     return (-1.0) ** k * table_for(params).annulus(k - i, x - y_k)
 
 
-def kernel_Xi_virtual(n, i, k, y_k, params):
+def kernel_Xi_virtual(i, k, y_k, params):
     """Xi^[i)_{N-k}(dagger_i): the virtual-coordinate pairing.
 
     (-1)^(i+1) times the integral over a contour around both 0 and 1 of

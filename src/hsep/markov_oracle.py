@@ -40,6 +40,7 @@ __all__ = [
     "transition_probability_exact",
     "oracle_distribution",
     "particle_count_distribution",
+    "require_event",
     "conditional_event_probability",
     "EmpiricalDistribution",
     "simulate",
@@ -293,14 +294,25 @@ def particle_count_distribution(y, t, params: ModelParams, s_max=None):
     return out, dist.tail_bound
 
 
+def require_event(labels, thresholds, n):
+    """Labels p_k in 1..n paired with thresholds a_k >= 0, as two lists (else ValueError)."""
+    labels, thresholds = list(labels), list(thresholds)
+    if len(labels) != len(thresholds):
+        raise ValueError("labels and thresholds must pair up")
+    if any(not 1 <= p <= n for p in labels):
+        raise ValueError("labels must lie in 1..N")
+    if any(a < 0 for a in thresholds):
+        raise ValueError("thresholds must be >= 0")
+    return labels, thresholds
+
+
 def conditional_event_probability(dist: OracleDistribution, n, labels, thresholds):
     """P(X_t(p_k) > a_k for all k | |X_t| = n) from an oracle distribution.
 
     X_t(k) is the k-th largest occupied site.  Enumerates the n-particle
     configurations directly (cheap for desk-scale n).
     """
-    labels = list(labels)
-    thresholds = list(thresholds)
+    labels, thresholds = require_event(labels, thresholds, n)
     total = 0.0
     hits = 0.0
     for sites in combinations(range(1, dist.s_max + 1), n):

@@ -69,60 +69,34 @@ def require_well_separated(y, n):
     return y
 
 
-def _assemble(qblock, pvec, ublock):
-    """Skew matrix [[Q, p, U], [-p^T, 0, 0], [-U^T, 0, 0]] (p, U optional)."""
-    n = qblock.shape[0]
-    m = ublock.shape[1] if ublock is not None else 0
-    extra = (1 if pvec is not None else 0) + m
-    dim = n + extra
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[:n, :n] = qblock
-    col = n
-    if pvec is not None:
-        mat[:n, col] = pvec
-        mat[col, :n] = -pvec
-        col += 1
-    if m:
-        mat[:n, col:] = ublock
-        mat[col:, :n] = -ublock.T
-    return mat
+def _matrix(x, y, params, shift=0):
+    """The skew matrix [[Q, B], [-B^T, 0]], as mat - mat.T from Q's lower
+    triangle and the border B: the p column for N + M odd, then the U columns.
 
-
-def _blocks(x, y, params, shift=0):
-    """Kernel blocks with the standard index reversal built in.
-
-    [Q]_{i,j} = Q_{i+shift, j+shift}(x_{N-i+1}, x_{N-j+1}) and analogously for
-    p and U; shift = 0 gives the transition probability, shift = 1 the joint
-    distribution (threshold) variant.
+    [Q]_{i,j} = Q_{i+shift, j+shift}(x_{N-i+1}, x_{N-j+1}), and analogously
+    for p and U; shift = 0 gives the transition probability, shift = 1 the
+    joint distribution (threshold) variant.
     """
     n, m = len(x), len(y)
-    qb = np.zeros((n, n), dtype=complex)
+    odd = (n + m) % 2
+    mat = np.zeros((n + odd + m, n + odd + m), dtype=complex)
     for i in range(1, n + 1):
         for j in range(1, i):
-            v = kernel_Q(i + shift, j + shift, x[n - i], x[n - j], params)
-            qb[i - 1, j - 1] = v
-            qb[j - 1, i - 1] = -v
-    pv = np.array(
-        [kernel_p(i + shift, x[n - i], params) for i in range(1, n + 1)]
-    )
-    ub = np.zeros((n, m), dtype=complex)
-    for i in range(1, n + 1):
+            mat[i - 1, j - 1] = kernel_Q(i + shift, j + shift, x[n - i], x[n - j], params)
+        if odd:
+            mat[i - 1, n] = kernel_p(i + shift, x[n - i], params)
         for k in range(1, m + 1):
-            ub[i - 1, k - 1] = kernel_U(
+            mat[i - 1, n + odd + k - 1] = kernel_U(
                 i - k + shift, x[n - i] - y[m - k], n - m, params
             )
-    return qb, pv, ub
+    return mat - mat.T
 
 
 def _pfaffian_value(x, y, params, shift=0):
-    n, m = len(x), len(y)
-    qb, pv, ub = _blocks(x, y, params, shift=shift)
-    odd = (n + m) % 2 == 1
-    mat = _assemble(qb, pv if odd else None, ub if m else None)
-    prefactor = (-1.0) ** math.comb(n, 2) * math.exp(-params.alpha * params.t)
-    if odd:
+    prefactor = (-1.0) ** math.comb(len(x), 2) * math.exp(-params.alpha * params.t)
+    if (len(x) + len(y)) % 2 == 1:
         prefactor *= params.alpha
-    return prefactor * pfaffian(mat)
+    return prefactor * pfaffian(_matrix(x, y, params, shift))
 
 
 def tasep_transition_probability(y, x, t, params: ModelParams):
@@ -292,7 +266,8 @@ def _weights(tops, y, n, params):
     The matrix is the Psi block Q_{1,1}(z_i, z_j), bordered by the Xi columns
     (M > 0) or, for N odd and M = 0, by the p column.  Each entry is an
     R-array: Q is evaluated once per distinct (z_i, z_j) pair of each column
-    pair, p and Xi once per distinct site.  The matching sum has (d - 1)!!
+    pair, p and Xi once per distinct site, and only the upper triangle, the
+    one matching_sum reads, is written.  The matching sum has (d - 1)!!
     terms, d = N + M (plus 1 for odd N with M = 0), so it suits small d.
     """
     r = len(tops)
@@ -311,10 +286,8 @@ def _weights(tops, y, n, params):
             pairs, inv = np.unique(tops[:, [i, j]], axis=0, return_inverse=True)
             q = np.array([kernel_Q(1, 1, a, b, params) for a, b in pairs.tolist()])
             mat[i][j] = q[inv.reshape(r)]
-            mat[j][i] = -mat[i][j]
         for c, col in enumerate(border, start=n):
             mat[i][c] = col[at[:, i]]
-            mat[c][i] = -mat[i][c]
     return np.broadcast_to(matching_sum(mat), (r,)).astype(complex)
 
 

@@ -57,11 +57,11 @@ def kernel_Xi(n, k, y_k, z, params):
     return (-1.0) ** k * _origin_and_one(params.t, False, n - k, z - y_k + n - k + 1)
 
 
-def kernel_Xi_upper(n, i, k, y_k, x, params):
+def kernel_Xi_upper(i, k, y_k, x, params):
     return (-1.0) ** i * _origin_and_one(params.t, True, i - k, x - y_k + i - k + 1)
 
 
-def kernel_Xi_virtual(n, i, k, y_k, params):
+def kernel_Xi_virtual(i, k, y_k, params):
     return (-1.0) ** (i + 1) * _origin_and_one(params.t, True, i - k - 1, i - k + 1 - y_k)
 
 

@@ -232,6 +232,8 @@ class TestKernelAgreement:
             blk = kern.block(i, x1, j, x2)
             swapped = kern.block(j, x2, i, x1)
             assert np.max(np.abs(blk + swapped.T)) < 1e-10
+        mat = kern.matrix([(1, 2), (3, 4), (2, 1), (2, 5)])
+        assert np.array_equal(mat, -mat.T)
 
     def test_matrix_is_the_blocks(self):
         kern = conditional_kernel(4, 2, (9, 7), P)
@@ -291,6 +293,22 @@ class TestConditionalDistribution:
             o, _ = conditional_event_probability(dist, n, labels, thr)
             assert abs(f - o) < 1e-9 + dist.tail_bound
 
+    def test_repeated_label_vs_oracle(self):
+        # the projection is a set: a label given twice keeps each point once
+        dist = oracle_distribution((), 1.0, P, s_max=17)
+        for labels, thr in (((1, 1), (3, 2)), ((2, 1, 2), (1, 4, 3))):
+            f = conditional_distribution(labels, thr, 2, 0, (), 1.0, P)
+            o, _ = conditional_event_probability(dist, 2, labels, thr)
+            assert abs(f - o) < 1e-9
+        once = conditional_distribution((1,), (3,), 2, 0, (), 1.0, P)
+        assert conditional_distribution((1, 1), (3, 2), 2, 0, (), 1.0, P) == once
+
+    def test_oracle_event_refuses_bad_labels(self):
+        dist = oracle_distribution((), 1.0, P, s_max=12)
+        for labels, thr in (((0,), (1,)), ((3,), (1,)), ((1, 2), (1,)), ((1,), (-1,))):
+            with pytest.raises(ValueError):
+                conditional_event_probability(dist, 2, labels, thr)
+
     def test_monotone_in_thresholds(self):
         vals = [
             conditional_distribution((2,), (a,), 2, 0, (), 1.0, P)
@@ -334,7 +352,7 @@ class TestFullSpaceReduction:
         for k in range(1, j + 1):
             for l in range(1, j + 1):
                 acc = sum(
-                    complex(_fullspace_f(2, j, k, y, x, p0)).real
+                    complex(_fullspace_f(j, k, y, x, p0)).real
                     * float(np.polyval(g[l - 1][::-1], x))
                     for x in range(lo, hi + 1)
                 )

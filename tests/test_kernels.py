@@ -187,16 +187,16 @@ class TestXiKernels:
     def test_virtual_diagonal(self):
         y = (9, 7, 5)
         for k in (1, 2, 3):
-            assert abs(kernel_Xi_virtual(4, k, k, y[k - 1], P) - (-1.0) ** k) < 1e-13
+            assert abs(kernel_Xi_virtual(k, k, y[k - 1], P) - (-1.0) ** k) < 1e-13
 
     def test_virtual_vanishing(self):
         # i > k with y_k > i - k
-        assert kernel_Xi_virtual(4, 3, 1, 9, P) == 0.0
-        assert kernel_Xi_virtual(5, 4, 2, 8, P) == 0.0
+        assert kernel_Xi_virtual(3, 1, 9, P) == 0.0
+        assert kernel_Xi_virtual(4, 2, 8, P) == 0.0
 
     def test_upper_matches_truncated_convolution(self):
         n, i, k, yk = 3, 1, 1, 6
-        lhs = kernel_Xi_upper(n, i, k, yk, 4, P)
+        lhs = kernel_Xi_upper(i, k, yk, 4, P)
         rhs = sum(
             phi_conv(i, n, 4, v) * kernel_Xi(n, k, yk, v, P) for v in range(1, 120)
         )
@@ -206,14 +206,14 @@ class TestXiKernels:
         n, k, yk = 3, 2, 7
         for z in (1, 4, 8):
             assert abs(
-                kernel_Xi_upper(n, n, k, yk, z, P) - kernel_Xi(n, k, yk, z, P)
+                kernel_Xi_upper(n, k, yk, z, P) - kernel_Xi(n, k, yk, z, P)
             ) < 1e-14
 
 
 class TestPerPoleOracle:
     @pytest.mark.parametrize("t", (0.0, 0.4, 1.0, 2.9, 5.0))
     def test_u_and_xi_kernels_match_per_pole_residues(self, t):
-        # N <= 4 and sites -8..15; Xi^(i) and Xi^[i) do not depend on N
+        # N <= 4 and sites -8..15; Xi^(i) and Xi^[i) take no N
         p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=t)
         cases = []
         for z in range(-8, 16):
@@ -225,12 +225,12 @@ class TestPerPoleOracle:
                     for n in range(k, 5):
                         cases.append((kernel_Xi, per_pole.kernel_Xi, (n, k, yk, z)))
                     for i in range(1, 5):
-                        args = (4, i, k, yk, z)
+                        args = (i, k, yk, z)
                         cases.append((kernel_Xi_upper, per_pole.kernel_Xi_upper, args))
         for yk in range(-2, 9):
             for i in range(1, 5):
                 for k in range(1, 5):
-                    args = (4, i, k, yk)
+                    args = (i, k, yk)
                     cases.append((kernel_Xi_virtual, per_pole.kernel_Xi_virtual, args))
         for fn, oracle, args in cases:
             v = fn(*args, p)

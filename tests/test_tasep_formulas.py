@@ -13,8 +13,7 @@ from hsep.pfaffian import pfaffian_definition
 from hsep.tasep_formulas import (
     GTPattern,
     PatternCapError,
-    _assemble,
-    _blocks,
+    _matrix,
     _top_rows,
     boundary_current_probability,
     enumerate_gt_patterns,
@@ -46,9 +45,8 @@ class TestTransitionProbability:
         p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=0.5)
         for x in ((12, 1), (12, 2, 1), (9, 7, 5, 3)):
             n = len(x)
-            qb, pv, _ = _blocks(x, (), p)
             pre = (-1.0) ** math.comb(n, 2) * math.exp(-0.25) * (0.5 if n % 2 else 1.0)
-            expect = pre * pfaffian_definition(_assemble(qb, pv if n % 2 else None, None)).real
+            expect = pre * pfaffian_definition(_matrix(x, (), p)).real
             assert expect > 0.0
             v = tasep_transition_probability((), x, 0.5, p)
             assert abs(v - expect) <= 1e-12 * expect
