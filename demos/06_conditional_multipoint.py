@@ -89,7 +89,7 @@ print("monotone in a:", all(u >= v for u, v in zip(vals, vals[1:])), vals)
 # collapses to a Fredholm determinant: full-space TASEP.  The conditional
 # law is then alpha-free (injection is conditioned away).
 y = (5, 3)
-det_path = fullspace_distribution((1, 2), (6, 4), 2, y, 1.0)
+det_path = fullspace_distribution((1, 2), (6, 4), y, 1.0)
 for alpha in (0.0, 0.5):
     p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=1.0)
     pf_path = conditional_distribution((1, 2), (6, 4), 2, 2, y, 1.0, p)
@@ -97,6 +97,6 @@ for alpha in (0.0, 0.5):
 
 # Full-space initial data may live anywhere on Z; the law is translation
 # covariant.
-v1 = fullspace_distribution((1, 2), (6, 4), 2, (5, 3), 1.0)
-v2 = fullspace_distribution((1, 2), (-1, -3), 2, (-2, -4), 1.0)
+v1 = fullspace_distribution((1, 2), (6, 4), (5, 3), 1.0)
+v2 = fullspace_distribution((1, 2), (-1, -3), (-2, -4), 1.0)
 print("\ntranslation covariance check:", abs(v1 - v2))

@@ -391,6 +391,8 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
     xs = [as_config(x) for x in xs]
     if any(len(x) != n for x in xs):
         raise ValueError("all target configurations must have n particles")
+    if not xs:
+        return {}, {"nodes": 0, "max_imag": 0.0}
     if len(y) > n:
         return {tuple(x): 0.0 for x in xs}, {"nodes": 0, "max_imag": 0.0}
     pref = math.exp(-params.alpha * params.t)
@@ -437,21 +439,14 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
 
     fam = default_nested_contours(params.q, params.alpha, n)
     prev = values(params, fam, nodes)
-    best_delta = math.inf
     while True:
         nodes *= 2
         if nodes > _NODE_CAP:
-            # A delta plateau slightly above tol is a roundoff floor, not a
-            # discretization failure (the node-doubling estimate is itself
-            # noise-limited there); accept it as the reported accuracy.
-            if best_delta <= 5.0 * tol:
-                return finish(prev, nodes // 2, last_delta=best_delta)
             raise QuadratureError(
                 f"ASEP quadrature did not stabilize to {tol:g} by {_NODE_CAP} nodes"
             )
         cur = values(params, fam, nodes)
         diff = max(abs(cur[x] - prev[x]) for x in cur)
-        best_delta = min(best_delta, diff)
         if diff <= tol:
             return finish(cur, nodes, last_delta=diff)
         prev = cur

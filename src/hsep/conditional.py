@@ -55,7 +55,6 @@ __all__ = [
     "BruteForceEnsemble",
     "correlation_kernel_bruteforce",
     "fullspace_biorthogonal",
-    "fullspace_kernel",
     "fullspace_distribution",
 ]
 
@@ -353,7 +352,7 @@ def correlation_kernel_bruteforce(n, m, y, params: ModelParams, x_max):
 
 def _fullspace_f(j, k, y, x, params):
     """f^j_{j-k}(x) = (-1)^k Xi^(j)_{N-k}(x), defined for any integer x, y_k."""
-    return (-1.0) ** k * kernel_Xi_upper(j, k, y[k - 1], x, params)
+    return ((-1.0) ** k * kernel_Xi_upper(j, k, y[k - 1], x, params)).real
 
 
 def _fullspace_params(t):
@@ -361,13 +360,11 @@ def _fullspace_params(t):
     return ModelParams(alpha=0.0, t=t)
 
 
-def _support_range(n, y, t, margin=60):
-    lo = min(y) - n - 2
-    hi = max(y) + int(math.ceil(4 * t + margin))
-    return lo, hi
+def _support_range(y, t):
+    return min(y) - len(y) - 2, max(y) + math.ceil(4 * t + 60)
 
 
-def fullspace_biorthogonal(j, y, t, n=None):
+def fullspace_biorthogonal(j, y, t):
     """Solve the full-space biorthogonalization for particle label j.
 
     Returns the coefficient rows of g^j_0..g^j_{j-1} in the monomial basis:
@@ -375,77 +372,52 @@ def fullspace_biorthogonal(j, y, t, n=None):
     decreasing integer configuration (full-space initial data).
     """
     y = tuple(int(v) for v in y)
-    if n is None:
-        n = len(y)
     params = _fullspace_params(t)
-    lo, hi = _support_range(n, y, params.t)
+    lo, hi = _support_range(y, params.t)
     xs = np.arange(lo, hi + 1)
-    fvals = np.zeros((j, len(xs)))
-    for k in range(1, j + 1):
-        fvals[k - 1] = [
-            complex(_fullspace_f(j, k, y, int(x), params)).real for x in xs
-        ]
-    moments = np.zeros((j, j))
-    for mdeg in range(j):
-        moments[:, mdeg] = fvals @ (xs.astype(float) ** mdeg)
-    ginv = np.linalg.inv(moments)
-    # row k-1 of ginv^T gives g^j_{j-k}; reorder to degree order g^j_l
-    coeffs = ginv.T
-    return coeffs  # coeffs[k-1] are monomial coefficients of g^j_{j-k}
+    fvals = np.array(
+        [[_fullspace_f(j, k, y, int(x), params) for x in xs] for k in range(1, j + 1)]
+    )
+    moments = fvals @ np.vander(xs.astype(float), j, increasing=True)
+    # row k-1 of moments^-T holds the monomial coefficients of g^j_{j-k}
+    return np.linalg.inv(moments).T
 
 
-class FullSpaceKernel:
-    """The determinantal kernel of the M = N (full-space) reduction."""
+def fullspace_distribution(p_labels, a_thresholds, y, t):
+    """P[X_t(p_k) > a_k for all k] for full-space TASEP from y, with N = len(y).
 
-    def __init__(self, n, y, t):
-        self.n = n
-        self.y = tuple(int(v) for v in y)
-        self.params = _fullspace_params(t)
-        self._g = {}
-
-    def _gcoeffs(self, j):
-        if j not in self._g:
-            self._g[j] = fullspace_biorthogonal(j, self.y, self.params.t, self.n)
-        return self._g[j]
-
-    def value(self, i, x1, j, x2):
-        out = 0.0
-        if i < j:
-            d = j - i
-            if x1 <= x2:
-                out -= math.comb(x2 - x1 + d - 1, d - 1)
-        g = self._gcoeffs(j)
-        for k in range(1, j + 1):
-            fv = complex(_fullspace_f(i, k, self.y, x1, self.params)).real
-            gv = float(np.polyval(g[k - 1][::-1], x2))
-            out += fv * gv
-        return out
-
-
-def fullspace_kernel(n, y, t):
-    return FullSpaceKernel(n, y, t)
-
-
-def fullspace_distribution(p_labels, a_thresholds, n, y, t):
-    """P[X_t(p_k) > a_k for all k] for full-space TASEP, via det(I - chi K chi).
-
-    The projection set {(p_k, x): x <= a_k} is truncated below at
-    min(y, a) - n - 25, far below the initial data, where the kernel rows
-    vanish.
+    det(I - chi K chi) = det(I + Phi - F G^T) over the projected points
+    (i_r, x_r), each kept once: F[r, k] = f^{i_r}_k(x_r) for k = 1..N,
+    G[c, k] = g^{i_c}_k(x_c) for k <= i_c and 0 above, and Phi[r, c] =
+    phi_{(i_r, i_c]}(x_r, x_c) for i_r < i_c and 0 otherwise.  The set
+    {(p_k, x): x <= a_k} is truncated below at min(y, a) - N - 25, far below
+    the initial data, where the rows of F vanish.  y may be any strictly
+    decreasing integer configuration and the thresholds any integers; an
+    empty event has probability 1.
     """
     y = tuple(int(v) for v in y)
-    kern = fullspace_kernel(n, y, t)
-    x_min = min(min(y), min(a_thresholds)) - n - 25
-    points = [
-        (p, x)
-        for p, a in zip(p_labels, a_thresholds)
-        for x in range(x_min, a + 1)
-    ]
-    if not points:
+    n = len(y)
+    p_labels, a_thresholds = list(p_labels), [int(a) for a in a_thresholds]
+    if len(p_labels) != len(a_thresholds):
+        raise ValueError("labels and thresholds must pair up")
+    if any(not 1 <= p <= n for p in p_labels):
+        raise ValueError("labels must lie in 1..N")
+    if any(a <= b for a, b in zip(y, y[1:])):
+        raise ValueError("sites must be strictly decreasing")
+    if not p_labels:
         return 1.0
-    dim = len(points)
-    mat = np.eye(dim)
-    for r, (pi, x1) in enumerate(points):
-        for c, (pj, x2) in enumerate(points):
-            mat[r, c] -= kern.value(pi, x1, pj, x2)
-    return float(np.linalg.det(mat))
+    x_min = min(min(y), min(a_thresholds)) - n - 25
+    points = list(dict.fromkeys(
+        (p, x) for p, a in zip(p_labels, a_thresholds) for x in range(x_min, a + 1)
+    ))
+    params = _fullspace_params(t)
+    g = {j: fullspace_biorthogonal(j, y, params.t) for j in set(p_labels)}
+    f = np.array([[_fullspace_f(i, k, y, x, params) for k in range(1, n + 1)] for i, x in points])
+    gmat = np.zeros((len(points), n))
+    for c, (j, x) in enumerate(points):
+        gmat[c, :j] = g[j] @ float(x) ** np.arange(j)
+    phi = np.array(
+        [[phi_conv(i, j, x1, x2) if i < j else 0 for j, x2 in points] for i, x1 in points],
+        dtype=float,
+    )
+    return float(np.linalg.det(np.eye(len(points)) + phi - f @ gmat.T))

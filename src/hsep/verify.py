@@ -288,7 +288,7 @@ def _fullspace_reduction():
     for alpha in (0.0, 0.5):
         p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=1.0)
         f_pf = cond.conditional_distribution((1, 2), (6, 4), 2, 2, (5, 3), 1.0, p)
-        f_det = cond.fullspace_distribution((1, 2), (6, 4), 2, (5, 3), 1.0)
+        f_det = cond.fullspace_distribution((1, 2), (6, 4), (5, 3), 1.0)
         worst_fd = max(worst_fd, abs(f_pf - f_det))
     return [
         ("schutz-alpha-independence", max(abs(vals[0] - vals[1]), abs(vals[0] - det)), 1e-10),

@@ -20,7 +20,8 @@ from hsep.asep_integral import (
     test_tw_vanishing_sum as tw_vanishing_sum,
 )
 from hsep.kernels import ModelParams
-from hsep.markov_oracle import oracle_distribution
+from hsep.markov_oracle import oracle_distribution, transition_probability_exact
+from hsep.numerics import QuadratureError
 from hsep.tasep_formulas import tasep_transition_probability
 
 P = ModelParams(q=0.4, alpha=0.6, gamma=0.0, t=1.0)
@@ -196,11 +197,25 @@ class TestTransitionQuadrature:
         v = asep_transition_probability((), (1,), 1.0, p, nodes=1)
         assert v == pytest.approx(0.2476, abs=1e-4)
 
+    def test_doubling_returns_only_agreeing_passes(self):
+        # successive passes come no closer than 4.5e-7 by 384 nodes, where
+        # the value is 1.2e-4 off the oracle
+        p = ModelParams(q=0.0, alpha=2.46, gamma=0.0, t=1.0)
+        try:
+            vals, _ = asep_transition_batch((), 3, [(3, 2, 1)], 1.0, p, tol=1e-7)
+        except QuadratureError:
+            return
+        exact, tail = transition_probability_exact((), (3, 2, 1), 1.0, p)
+        assert abs(vals[(3, 2, 1)] - exact) <= 1e-7 + tail
+
     def test_n_zero(self):
         p = ModelParams(q=0.3, alpha=0.6, gamma=0.0, t=0.7)
         assert asep_transition_probability((), (), 0.7, p) == pytest.approx(
             math.exp(-0.42)
         )
+        for q in (0.3, 0.0):
+            empty = asep_transition_batch((), 2, [], 0.7, ModelParams(q=q, alpha=0.6))
+            assert empty == ({}, {"nodes": 0, "max_imag": 0.0})
 
 
 def _full_grid_sum(terms, pairs, singles, rows):

@@ -218,6 +218,11 @@ class TestExitCodes:
         assert rc == 4
         assert "condition number" in capsys.readouterr().err
 
+    def test_asep_quadrature_unconverged_is_4(self, capsys):
+        rc = main(["asep-prob", "--x", "3,2,1", "--alpha", "2.46", "--t", "1"])
+        assert rc == 4
+        assert "did not stabilize" in capsys.readouterr().err
+
     def test_gt_cap_exceeded_is_3(self, capsys):
         rc = main(["gt-sum", "--x", "5,3", "--cap", "10", "--alpha", "0.5", "--t", "1"])
         assert rc == 3

@@ -14,7 +14,6 @@ from hsep.conditional import (
     correlation_kernel_bruteforce,
     fullspace_biorthogonal,
     fullspace_distribution,
-    fullspace_kernel,
     moment_matrix,
     virtual_pairing_matrix,
 )
@@ -322,7 +321,7 @@ class TestFullSpaceReduction:
         p0 = ModelParams(q=0.0, alpha=0.0, gamma=0.0, t=1.0)
         y = (5, 3)
         f_pf = conditional_distribution((1, 2), (6, 4), 2, 2, y, 1.0, p0)
-        f_det = fullspace_distribution((1, 2), (6, 4), 2, y, 1.0)
+        f_det = fullspace_distribution((1, 2), (6, 4), y, 1.0)
         assert abs(f_pf - f_det) < 1e-10
 
     def test_pf_equals_det_at_positive_alpha(self):
@@ -330,14 +329,14 @@ class TestFullSpaceReduction:
         # conditional law is alpha-free and equals full-space TASEP
         y = (5, 3)
         f_pf = conditional_distribution((1, 2), (6, 4), 2, 2, y, 1.0, P)
-        f_det = fullspace_distribution((1, 2), (6, 4), 2, y, 1.0)
+        f_det = fullspace_distribution((1, 2), (6, 4), y, 1.0)
         assert abs(f_pf - f_det) < 1e-9
 
     def test_det_vs_oracle(self):
         p0 = ModelParams(q=0.0, alpha=0.0, gamma=0.0, t=1.0)
         y = (5, 3)
         dist = oracle_distribution(y, 1.0, p0, s_max=16)
-        f = fullspace_distribution((1, 2), (6, 4), 2, y, 1.0)
+        f = fullspace_distribution((1, 2), (6, 4), y, 1.0)
         o, _ = conditional_event_probability(dist, 2, (1, 2), (6, 4))
         assert abs(f - o) < 1e-9
 
@@ -348,22 +347,43 @@ class TestFullSpaceReduction:
         from hsep.conditional import _fullspace_f, _support_range
 
         p0 = ModelParams(q=0.0, alpha=0.0, gamma=0.0, t=1.0)
-        lo, hi = _support_range(2, y, 1.0)
+        lo, hi = _support_range(y, 1.0)
         for k in range(1, j + 1):
             for l in range(1, j + 1):
                 acc = sum(
-                    complex(_fullspace_f(j, k, y, x, p0)).real
+                    _fullspace_f(j, k, y, x, p0)
                     * float(np.polyval(g[l - 1][::-1], x))
                     for x in range(lo, hi + 1)
                 )
                 assert abs(acc - (1.0 if k == l else 0.0)) < 1e-9
 
     def test_translation_covariance(self):
-        v1 = fullspace_distribution((1, 2), (6, 4), 2, (5, 3), 1.0)
-        v2 = fullspace_distribution((1, 2), (13, 11), 2, (12, 10), 1.0)
-        v3 = fullspace_distribution((1, 2), (-2, -4), 2, (-3, -5), 1.0)
+        v1 = fullspace_distribution((1, 2), (6, 4), (5, 3), 1.0)
+        v2 = fullspace_distribution((1, 2), (13, 11), (12, 10), 1.0)
+        v3 = fullspace_distribution((1, 2), (-2, -4), (-3, -5), 1.0)
         assert abs(v1 - v2) < 1e-12
         assert abs(v1 - v3) < 1e-12
+
+    def test_repeated_label_counts_each_point_once(self):
+        once = fullspace_distribution((1,), (6,), (5, 3), 1.0)
+        assert fullspace_distribution((1, 1), (6, 6), (5, 3), 1.0) == once
+
+    def test_empty_event_is_one(self):
+        assert fullspace_distribution((), (), (5, 3), 1.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "labels, thr, y",
+        [
+            ((0,), (4,), (5, 3)),
+            ((3,), (4,), (5, 3)),
+            ((1, 2), (6,), (5, 3)),
+            ((1, 2), (6, 4), (3, 5)),
+            ((1, 2), (6, 4), (5, 5)),
+        ],
+    )
+    def test_refuses_malformed_event(self, labels, thr, y):
+        with pytest.raises(ValueError):
+            fullspace_distribution(labels, thr, y, 1.0)
 
     def test_g_degree_structure(self):
         g = fullspace_biorthogonal(3, (7, 5, 2), 1.0)
