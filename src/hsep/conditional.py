@@ -65,12 +65,9 @@ GRAM_COND_MAX = 2e6
 def moment_matrix(n, params):
     """script-N: [N]_{k,l} = Q_{N-k+2,N-l+2}(1,1), the e-basis Psi pairing."""
     mat = np.zeros((n, n), dtype=complex)
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            v = kernel_Q(n - k + 2, n - l + 2, 1, 1, params)
-            mat[k - 1, l - 1] = v
-            mat[l - 1, k - 1] = -v
-    return mat
+    k, l = np.triu_indices(n, 1)
+    mat[k, l] = kernel_Q(n - k + 1, n - l + 1, 1, 1, params)
+    return mat - mat.T
 
 
 def virtual_pairing_matrix(n, m, y, params):
@@ -170,17 +167,24 @@ class ConditionalKernel:
         self.m = gram.m
 
     def k0(self, i, x1, j, x2):
+        """The K0 blocks [[Q_{N-i+1,N-j+1}(x1, x2), -phi_{(i,j]}(x1, x2)],
+        [phi_{(j,i]}(x2, x1), 0]] for broadcast (i, x1; j, x2), shape (..., 2, 2)."""
         n = self.n
-        b11 = kernel_Q(n - i + 1, n - j + 1, x1, x2, self.params)
-        b12 = -phi_conv(i, j, x1, x2) if i < j else 0.0
-        b21 = phi_conv(j, i, x2, x1) if j < i else 0.0
-        return np.array([[b11, b12], [b21, 0.0]], dtype=complex)
+        i, x1, j, x2 = np.broadcast_arrays(i, x1, j, x2)
+        blk = np.zeros(i.shape + (2, 2), dtype=complex)
+        blk[..., 0, 0] = kernel_Q(n - i + 1, n - j + 1, x1, x2, self.params)
+        for at in np.ndindex(i.shape):
+            a, u, b, v = int(i[at]), int(x1[at]), int(j[at]), int(x2[at])
+            blk[at][0, 1] = -phi_conv(a, b, u, v) if a < b else 0.0
+            blk[at][1, 0] = phi_conv(b, a, v, u) if b < a else 0.0
+        return blk
 
     def _rows(self, points):
         """The rows E and D of every point, each a (P, N + M) array."""
         n, y, params = self.n, self.gram.y, self.params
         span = range(1, n + 1)
-        a = [[kernel_Q(n - i + 1, n - l + 2, x, 1, params) for l in span] for i, x in points]
+        i, x = (np.array(v, dtype=int)[:, None] for v in zip(*points))
+        a = kernel_Q(n - i + 1, n - np.arange(1, n + 1) + 2, x, 1, params)
         d = [[float(phi_virtual(l, i, x)) for l in span] for i, x in points]
         xi = np.array(
             [[kernel_Xi_upper(i, k, y[k - 1], x, params) for k in range(1, self.m + 1)]
@@ -188,7 +192,7 @@ class ConditionalKernel:
             dtype=complex,
         ).reshape(len(points), self.m)
         return (
-            np.hstack([np.array(a, dtype=complex), xi]),
+            np.hstack([a, xi]),
             np.hstack([np.array(d, dtype=complex), np.zeros_like(xi)]),
         )
 
@@ -198,9 +202,10 @@ class ConditionalKernel:
         e, d = (rows * self.gram.scale for rows in self._rows(points))
         rows = np.stack([e, d], axis=1).reshape(2 * len(points), -1)
         upper = np.triu(rows @ np.linalg.solve(self.gram.matrix, rows.T), 1)
-        for a, (i, x1) in enumerate(points):
-            for b in range(a + 1, len(points)):
-                upper[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] += self.k0(i, x1, *points[b])
+        a, b = np.triu_indices(len(points), 1)
+        i, x = np.array(points, dtype=int).T
+        for blk, ra, rb in zip(self.k0(i[a], x[a], i[b], x[b]), a.tolist(), b.tolist()):
+            upper[2 * ra : 2 * ra + 2, 2 * rb : 2 * rb + 2] += blk
         return upper - upper.T
 
     def block(self, i, x1, j, x2):
@@ -286,13 +291,10 @@ class BruteForceEnsemble:
                         1.0,
                     )
         # Psi on the top fiber's double-prime copies
-        for x1 in range(1, x_max + 1):
-            for x2 in range(x1 + 1, x_max + 1):
-                put(
-                    self.index[("p", n, x1)] + 1,
-                    self.index[("p", n, x2)] + 1,
-                    kernel_Q(1, 1, x1, x2, params),
-                )
+        x1, x2 = np.triu_indices(x_max, 1)
+        psi = kernel_Q(1, 1, x1 + 1, x2 + 1, params)
+        for u, v, val in zip(x1.tolist(), x2.tolist(), psi):
+            put(self.index[("p", n, u + 1)] + 1, self.index[("p", n, v + 1)] + 1, val)
         # Xi columns: (N, x)'' -> dagger_(N+l)''
         for l in range(1, m + 1):
             for x in range(1, x_max + 1):

@@ -17,8 +17,13 @@ poles, one Poisson-weighted sum evaluated here for all six kernels:
   convolution algebra with virtual coordinates
 
 In Q the coupling factor (u-w)/(1-u-w) is expanded in powers of w, which
-turns the double integral into the contraction of two memoized rows of
-such annulus coefficients, one per (a, x) and one per (b, y).  Torus
+turns the double integral into a contraction over k of two rows of annulus
+coefficients: A_{a,x} from the w-side and G_{b,y} from the u-side.  Each
+KernelTable builds what these rows are read from once: one correlation of
+each w-side series with the Poisson weights, whose entries are A_{a,x}[k] and
+p_a(x) alike, and one triangle of running sums shared by every u-side row.
+``kernel_Q`` and ``kernel_p`` take arrays, so an assembly asks for a whole
+block of entries in one call, which builds each G row it needs once.  Torus
 quadrature with unequal radii (``tests/test_kernels.py``) and per-pole jet
 residues through ``hsep.numerics.residue_at`` (``tests/residue_oracle.py``)
 are the independent cross-check paths.
@@ -103,114 +108,215 @@ def _series(alpha, e, m, smax):
 
 
 def _extract(h, pois, j0):
-    """sum_s h_s pois[j0 + s]; the terms with j0 + s < 0 are zero."""
+    """sum_s h_s pois[j0 + s]; pois[j] is 0 for j < 0 and past its end."""
     lo = min(max(0, -j0), len(h))
-    return np.dot(h[lo:], pois[j0 + lo : j0 + len(h)])
+    seg = np.zeros(len(h) - lo)
+    got = pois[j0 + lo : j0 + len(h)]
+    seg[: len(got)] = got
+    return np.dot(h[lo:], seg)
 
 
-def _poisson_weights(t, jmax):
-    """e^(-t) t^j / j! for j = 0..jmax, computed iteratively (no overflow).
+def _poisson_weights(t):
+    """e^(-t) t^j / j! up to the last nonzero one, computed iteratively.
 
-    Raises ArithmeticError once e^(-t) is subnormal (t > ~708): the weights
-    would lose precision and then vanish, and every kernel would read 0.
+    The weights rise to the mode and then fall to a first exact zero, after
+    which every weight is 0, so the loop stops there.  Raises ArithmeticError
+    once e^(-t) is subnormal (t > ~708): the weights would lose precision and
+    then vanish, and every kernel would read 0.
     """
-    w = np.zeros(jmax + 1)
-    w[0] = math.exp(-t)
+    w = [math.exp(-t)]
     if w[0] < sys.float_info.min:
         raise ArithmeticError(f"e^(-t) underflows at t = {t:g}; kernels need t <= 708")
-    for j in range(1, jmax + 1):
-        w[j] = w[j - 1] * t / j
-    return w
+    while (nxt := w[-1] * t / len(w)) != 0.0:
+        w.append(nxt)
+    return np.array(w)
+
+
+def _ints(*args):
+    """The arguments broadcast against each other, as flat int arrays, and their shape."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in args))
+    return [v.ravel() for v in arrays], arrays[0].shape
+
+
+def _strided(flat, start, rows, width, step):
+    """The (rows, width) view flat[start + r * step + c] of a 1-D array, no copy."""
+    return np.ndarray((rows, width), buffer=flat, offset=8 * start, strides=(8 * step, 8))
+
+
+def _values(v, shape):
+    """One complex value for scalar arguments, else a complex array of their shape."""
+    v = v.reshape(shape)
+    return complex(v) if v.ndim == 0 else v.astype(complex)
 
 
 class KernelTable:
-    """Memoized kernel evaluations for one parameter set (gamma = 0)."""
+    """Kernel evaluations for one parameter set (gamma = 0).
 
-    _SMAX = 700  # annulus series cap; terms die off on a Poisson tail scale
-    _KCAP = 360  # cap on the order k of Q's coupling expansion
+    memo holds the arrays every entry is read from, each built on first use,
+    and the memoized U and Xi coefficients:
+
+    * "pi": the Poisson weights pi[j] = e^(-t) t^j / j!, j < J, where J is
+      the end of their support (J = 151 at t = 0.4, 222 at t = 2.9, 304 at
+      t = 10; every later weight underflows to 0);
+    * ("corr", a, lo): corr_a[j] = sum_s h_s pi[j+s], h the series of
+      1/((w-alpha)(w-1)^a), for j from lo to J (_corr).  Q's w-side row is
+      A_{a,x}[k] = corr_a[x-k], and p_a(x) = corr_a[x];
+    * "T": the triangle of running sums that Q's u-side rows are read from,
+      with its span (_triangle).
+    """
+
+    # The w-side series h_s stops at s = _SMAX.  That cuts A_{a,x}[k] where
+    # x - k + _SMAX < J - 1: at k near _KCAP from t = 15 on (J = 342), and
+    # p_a(x) = A_{a,x}[0] from t = 105 on (J = 705).
+    _SMAX = 700
+    # The coupling expansion of Q stops at k = _KCAP.  G_{b,y}[k] = 0 once
+    # y + k >= J, so this cuts the k-sum only where J - y > _KCAP + 1: from
+    # t = 18 on (J = 362) at y = 1.
+    _KCAP = 360
 
     def __init__(self, params: ModelParams):
         params.require_exact()
         self.params = params
         self.memo = {}
 
-    def _pois(self, jmax):
-        w = self.memo.get("_pois")
-        if w is None or len(w) <= jmax:
-            w = _poisson_weights(self.params.t, max(jmax, 64) * 2)
-            self.memo["_pois"] = w
-        return w
-
-    def _annulus(self, e, m, j0):
-        """sum_s h_s e^(-t) t^(j0+s) / (j0+s)!, h the series of _series(e, m).
-
-        This is the contour integral of (w-1)^(-m) e^(t(w-1)) w^(-b) /
-        (w-alpha)^e around all its poles, with j0 = b + m + e - 1.
-        """
-        h = _series(self.params.alpha, e, m, self._SMAX)
-        return complex(_extract(h, self._pois(j0 + len(h)), j0))
-
-    # -- single-contour kernels ---------------------------------------------
-
-    def p(self, i, x):
-        """p_i(x): contour surrounds 0 (iff x > i), alpha and 1.
-
-        The integrand is w^(i-x) e^(t(w-1)) / ((w-alpha)(w-1)^i), so
-        p_i(x) = sum_s h_s e^(-t) t^(x+s) / (x+s)!.
-        """
-        key = ("p", i, x)
-        if key not in self.memo:
-            self.memo[key] = self._annulus(1, i, x)
-        return self.memo[key]
-
-    # -- the double-contour kernel ------------------------------------------
-
     def _support(self):
         """The Poisson weights up to the last nonzero one; later ones underflow to 0."""
-        return np.trim_zeros(self._pois(self._KCAP + self._SMAX), "b")
+        if "pi" not in self.memo:
+            self.memo["pi"] = _poisson_weights(self.params.t)
+        return self.memo["pi"]
 
-    def _window(self, j0, rows, width):
-        """The (rows, width) view pi[j0 + r + c]; weights outside the support are 0."""
-        pad = np.zeros(rows + width - 1)
-        seg = self._support()[max(j0, 0) : max(j0 + len(pad), 0)]
-        pad[max(-j0, 0) :][: len(seg)] = seg
-        return sliding_window_view(pad, width)
+    # -- the w-side: one correlation per a ----------------------------------
 
-    def _f1_annulus(self, a, x):
-        """A[k] = [w^(-k-1)] f1(w) for k <= _KCAP + 1, f1 the w-side of Q_{a,b}.
+    def _corr(self, a, jmin):
+        """(corr, row, lo): corr_v over j = lo..J for the distinct v of a,
+        stacked, and the row of each entry of a; lo <= jmin.
 
-        A[k] = sum_s h_s pi[x+s-k]: one sliding-window product with h.
+        Each corr_v is one sliding-window product with h, every entry a sum
+        in s order, so an entry does not depend on the range of j it is built
+        over.  lo = -_KCAP covers
+        every site x >= 1; a lower jmin takes lo = -_SMAX - 1, the whole
+        range where corr_v can be nonzero (corr_v[lo] = 0).
         """
-        key = ("f1ann", a, x)
-        if key not in self.memo:
-            n = self._KCAP + 2
-            h = _series(self.params.alpha, 1, a, self._SMAX)
-            self.memo[key] = (self._window(x - n + 1, n, len(h)) @ h)[::-1]
-        return self.memo[key]
+        pi = self._support()
+        lo = -self._KCAP if jmin >= -self._KCAP else -self._SMAX - 1
+        keys = sorted(set(a.tolist()))
+        for v in keys:
+            if ("corr", v, lo) not in self.memo:
+                pad = np.zeros(len(pi) - lo + 1 + self._SMAX)
+                pad[-lo:][: len(pi)] = pi
+                h = _series(self.params.alpha, 1, v, self._SMAX)
+                self.memo["corr", v, lo] = sliding_window_view(pad, self._SMAX + 1) @ h
+        corr = np.stack([self.memo["corr", v, lo] for v in keys])
+        return corr, np.searchsorted(keys, a), lo
 
-    def _g_row(self, b, y):
-        """G[k] = (-1)^(k+1) sum_s (C^k h)_s pi[y+k+s], C the running sum.
+    def p(self, i, x):
+        """p_i(x): contour surrounds 0 (iff x > i), alpha and 1; i, x broadcast.
 
-        The sum is [u^(-1)] u^(b-y) e^(t(u-1)) / ((u-alpha)(u-1)^(b+k+1)), h
-        the series of 1/((u-alpha)(u-1)^(b+1)).  Only s + k <= J - y meets a
-        nonzero weight (J the end of the support), so row k of the temporary
-        (k, s) table stops there, which also keeps it far from overflow.
+        The integrand is w^(i-x) e^(t(w-1)) / ((w-alpha)(w-1)^i), so
+        p_i(x) = sum_s h_s e^(-t) t^(x+s) / (x+s)! = corr_i[x], the k = 0
+        entry of Q's w-side row A_{i,x}.
         """
-        key = ("G", b, y)
-        if key not in self.memo:
-            n = max(len(self._support()) - y, 1)  # weights from index y on
+        (i, x), shape = _ints(i, x)
+        if not len(i):
+            return _values(np.zeros(0), shape)
+        corr, row, lo = self._corr(i, int(x.min()))
+        return _values(corr[row, np.clip(x - lo, 0, corr.shape[1] - 1)], shape)
+
+    # -- the u-side: one triangle of running sums ------------------------------
+
+    def _fold(self, m_lo, bmax, y0):
+        """(width, c, rows, half): the layout of the triangle for b <= bmax,
+        y >= y0, whose row r = m - m_lo (r < rows) is min(width, c - r) long."""
+        n0 = max(len(self._support()) - y0, 1)
+        width = min(self._SMAX + 1, n0)
+        c = n0 + bmax + 1 - m_lo
+        rows = bmax + 1 - m_lo + min(self._KCAP + 1, n0)
+        half = min(rows, max(-(-(2 * c - width + 1) // 2), -(-(rows + c - width) // 2)))
+        return width, c, rows, half
+
+    @staticmethod
+    def _start(r, width, c, half):
+        """Where row r of the folded triangle starts in its flat array."""
+        return r * width if r < half else (2 * half - r) * width - min(width, c - r)
+
+    def _triangle(self, bmin, bmax, ymin):
+        """memo["T"] = (span, flat): the triangle T[m, s] of running sums,
+        [w^(-s)] 1/((1-alpha/w)(1-1/w)^m), folded into the 1-D array flat,
+        with the rows of G_{b,y} for every b and y its span (m_lo, bmax, y0)
+        covers: m_lo <= b + 1, b <= bmax, y >= y0.  It covers bmin..bmax and
+        y >= ymin on return.
+
+        G_{b,y}[k] reads T[b+1+k, s] for s < J - y - k; later s meet only
+        zero weights.  Row m is the running sum of a prefix of row m - 1, and
+        a running sum is the same on every prefix, so no entry depends on the
+        span.  Over b <= bmax and y >= y0 these rows form a trapezoid: row
+        r = m - m_lo has length l_r = min(width, c - r).  Row r < half starts
+        line r of a (half + 1, width) array; row r >= half ends line
+        2 half - 1 - r, whose own row leaves it room (l_r plus that row's
+        length is at most width).  So the rows of each part are a constant
+        stride apart (width, and -(width - 1)), a block of them is one strided
+        view, and the triangle takes about half the memory of a rectangle.
+        What a view reads past the end of a row is another finite coefficient,
+        and it meets a zero weight.  A b or y beyond the span rebuilds it, for
+        b up to twice the largest b asked for, so a table builds it a few
+        times at most.  The span and the array are replaced together, so a
+        reader never pairs one with the other's layout.
+        """
+        got = self.memo.get("T")
+        if got and got[0][0] <= bmin + 1 and bmax <= got[0][1] and got[0][2] <= ymin:
+            return got
+        m_lo, b_hi, y0 = got[0] if got else (2, 1, 1)
+        span = (min(m_lo, bmin + 1), max(b_hi, 2 * bmax), min(y0, ymin))
+        width, c, rows, half = self._fold(*span)
+        flat = np.zeros((half + 1) * width)
+        prev = _series(self.params.alpha, 1, span[0], width - 1)
+        for r in range(rows):
+            row = flat[self._start(r, width, c, half) :][: min(width, c - r)]
+            if r:
+                np.add.accumulate(prev[: len(row)], out=row)
+            else:
+                row[:] = prev
+            prev = row
+        self.memo["T"] = span, flat
+        return span, flat
+
+    def _g_rows(self, pairs):
+        """{(b, y): G_{b,y}} for the given pairs, where
+
+            G_{b,y}[k] = (-1)^(k+1) sum_s T[b+1+k, s] pi[y+k+s],   k < min(_KCAP + 1, n),
+
+        is [u^(-1)] u^(b-y) e^(t(u-1)) / ((u-alpha)(u-1)^(b+k+1)).  With
+        n = max(J - y, 1), the sum runs over s < min(_SMAX + 1, n) for every
+        k, so its terms and their order depend on (b, y) alone, whichever
+        pairs are asked for with it.  The weights below the smallest normal
+        float (the last few of the support) are read as 0 here: they change
+        no entry above about 1e-240 in size, and multiplying them costs
+        several times more.
+        """
+        bs, ys = zip(*pairs)
+        span, flat = self._triangle(min(bs), max(bs), min(ys))
+        step, c, _, half = self._fold(*span)
+        pi = self._support()
+        lo = min(min(ys), 0)
+        pad = np.zeros(2 * (len(pi) - lo))
+        pad[-lo:][: len(pi)] = np.where(pi < sys.float_info.min, 0.0, pi)
+        out = {}
+        for b, y in pairs:
+            n = max(len(pi) - y, 1)
             rows, width = min(self._KCAP + 1, n), min(self._SMAX + 1, n)
-            c = np.zeros((rows, width))
-            c[0] = _series(self.params.alpha, 1, b + 1, width - 1)
-            for k in range(1, rows):
-                np.add.accumulate(c[k - 1, : n - k], out=c[k, : n - k])
-            g = np.einsum("ks,ks->k", c, self._window(y, rows, width))
+            win = _strided(pad, min(y, len(pi)) - lo, rows, width, 1)
+            r = b + 1 - span[0]
+            fwd = min(max(half - r, 0), rows)
+            g = np.einsum("ks,ks->k", _strided(flat, r * step, fwd, width, step), win[:fwd])
+            if fwd < rows:
+                back = _strided(flat, self._start(r + fwd, step, c, half), rows - fwd, width, 1 - step)
+                g = np.concatenate([g, np.einsum("ks,ks->k", back, win[fwd:])])
             g[::2] *= -1.0
-            self.memo[key] = g
-        return self.memo[key]
+            out[b, y] = g
+        return out
 
     def q_kernel(self, a, b, x, y):
-        """Q_{a,b}(x,y) as the contraction of two memoized coefficient rows.
+        """Q_{a,b}(x,y) for broadcast a, b, x, y, one block of entries at once.
 
         Inner w-integral first (coupling pole excluded, per the unequal-radii
         contour choice); expanding the coupling as
@@ -218,18 +324,38 @@ class KernelTable:
         leaves, for each k, a u-integral: the signed annulus coefficient G[k],
 
             Q = alpha^2 sum_k (A_{a,x}[k] G_{b,y}[k] - A_{a,x}[k+1] G_{b,y+1}[k]).
+
+        Each distinct G row is built once per call, the entries are taken in
+        groups of equal y (whose G rows have one length), and each sum runs
+        over k in order (np.add.accumulate), so a value does not depend on the
+        block it is asked for in.
         """
-        key = ("Q", a, b, x, y)
-        if key not in self.memo:
-            A, g1, g0 = self._f1_annulus(a, x), self._g_row(b, y), self._g_row(b, y + 1)
-            total = A[: len(g1)] @ g1 - A[1 : len(g0) + 1] @ g0
-            self.memo[key] = complex(self.params.alpha**2 * total)
-        return self.memo[key]
+        (a, b, x, y), shape = _ints(a, b, x, y)
+        if not len(a):
+            return _values(np.zeros(0), shape)
+        pairs = sorted(set(zip(b.tolist(), y.tolist())))
+        g = self._g_rows(sorted(set(pairs) | {(bv, yv + 1) for bv, yv in pairs}))
+        corr, row, lo = self._corr(a, int(x.min()) - self._KCAP - 1)
+        total = np.empty(len(a))
+        for yv in sorted(set(y.tolist())):
+            sel = y == yv
+            bs = sorted({bv for bv, v in pairs if v == yv})
+            at = np.searchsorted(bs, b[sel])
+            g1 = np.stack([g[bv, yv] for bv in bs])[at]
+            g0 = np.stack([g[bv, yv + 1] for bv in bs])[at]
+            j = np.clip(x[sel, None] - lo - np.arange(g1.shape[1] + 1), 0, corr.shape[1] - 1)
+            w = corr[row[sel, None], j]
+            total[sel] = (
+                np.add.accumulate(w[:, :-1] * g1, axis=1)[:, -1]
+                - np.add.accumulate(w[:, 1 : g0.shape[1] + 1] * g0, axis=1)[:, -1]
+            )
+        return _values(self.params.alpha**2 * total, shape)
 
     # -- U and the initial-data kernels ----------------------------------------
 
     def annulus(self, m, j0):
-        """Memoized _annulus(0, m, j0): the integral around all the poles of
+        """Memoized sum_s h_s pi[j0+s], h the series of (1 - 1/w)^(-m): the
+        integral around all the poles of
 
             (w-1)^(-m) e^(t(w-1)) / w^(j0-m+1).
 
@@ -237,7 +363,8 @@ class KernelTable:
         """
         key = ("ann", m, j0)
         if key not in self.memo:
-            self.memo[key] = self._annulus(0, m, j0)
+            h = _series(self.params.alpha, 0, m, self._SMAX)
+            self.memo[key] = complex(_extract(h, self._support(), j0))
         return self.memo[key]
 
 
@@ -246,14 +373,16 @@ def table_for(params: ModelParams) -> KernelTable:
     return KernelTable(params)
 
 
-# -- module-level entry points (thin wrappers over the memo table) ------------
+# -- module-level entry points (thin wrappers over the kernel table) -----------
 
 
 def kernel_Q(a, b, x, y, params):
+    """Q_{a,b}(x,y); a, b, x, y broadcast, and arrays give one block call."""
     return table_for(params).q_kernel(a, b, x, y)
 
 
 def kernel_p(i, x, params):
+    """p_i(x); i and x broadcast, and arrays give one block call."""
     return table_for(params).p(i, x)
 
 

@@ -75,16 +75,18 @@ def _matrix(x, y, params, shift=0):
 
     [Q]_{i,j} = Q_{i+shift, j+shift}(x_{N-i+1}, x_{N-j+1}), and analogously
     for p and U; shift = 0 gives the transition probability, shift = 1 the
-    joint distribution (threshold) variant.
+    joint distribution (threshold) variant.  Q's triangle is one block call.
     """
     n, m = len(x), len(y)
     odd = (n + m) % 2
     mat = np.zeros((n + odd + m, n + odd + m), dtype=complex)
+    sites = np.array(x[::-1], dtype=int)
+    labels = np.arange(1, n + 1) + shift
+    i, j = np.tril_indices(n, -1)
+    mat[i, j] = kernel_Q(labels[i], labels[j], sites[i], sites[j], params)
+    if odd:
+        mat[:n, n] = kernel_p(labels, sites, params)
     for i in range(1, n + 1):
-        for j in range(1, i):
-            mat[i - 1, j - 1] = kernel_Q(i + shift, j + shift, x[n - i], x[n - j], params)
-        if odd:
-            mat[i - 1, n] = kernel_p(i + shift, x[n - i], params)
         for k in range(1, m + 1):
             mat[i - 1, n + odd + k - 1] = kernel_U(
                 i - k + shift, x[n - i] - y[m - k], n - m, params
@@ -265,10 +267,11 @@ def _weights(tops, y, n, params):
 
     The matrix is the Psi block Q_{1,1}(z_i, z_j), bordered by the Xi columns
     (M > 0) or, for N odd and M = 0, by the p column.  Each entry is an
-    R-array: Q is evaluated once per distinct (z_i, z_j) pair of each column
-    pair, p and Xi once per distinct site, and only the upper triangle, the
-    one matching_sum reads, is written.  The matching sum has (d - 1)!!
-    terms, d = N + M (plus 1 for odd N with M = 0), so it suits small d.
+    R-array: Q is one block call over the distinct (z_i, z_j) pairs of all
+    column pairs, p and Xi are evaluated once per distinct site, and only the
+    upper triangle, the one matching_sum reads, is written.  The matching sum
+    has (d - 1)!! terms, d = N + M (plus 1 for odd N with M = 0), so it suits
+    small d.
     """
     r = len(tops)
     sites, at = np.unique(tops, return_inverse=True)
@@ -278,14 +281,16 @@ def _weights(tops, y, n, params):
         for k in range(1, len(y) + 1)
     ]
     if not y and n % 2 == 1:
-        border = [np.array([kernel_p(1, z, params) for z in sites.tolist()])]
+        border = [kernel_p(1, sites, params)]
     dim = n + len(border)
     mat = [[0.0] * dim for _ in range(dim)]
+    cols = list(itertools.combinations(range(n), 2))
+    if cols:
+        pairs, inv = np.unique(np.concatenate([tops[:, c] for c in cols]), axis=0, return_inverse=True)
+        q = kernel_Q(1, 1, pairs[:, 0], pairs[:, 1], params)[inv.reshape(len(cols), r)]
+        for (i, j), qij in zip(cols, q):
+            mat[i][j] = qij
     for i in range(n):
-        for j in range(i + 1, n):
-            pairs, inv = np.unique(tops[:, [i, j]], axis=0, return_inverse=True)
-            q = np.array([kernel_Q(1, 1, a, b, params) for a, b in pairs.tolist()])
-            mat[i][j] = q[inv.reshape(r)]
         for c, col in enumerate(border, start=n):
             mat[i][c] = col[at[:, i]]
     return np.broadcast_to(matching_sum(mat), (r,)).astype(complex)

@@ -215,13 +215,13 @@ def _kernel_recurrences():
             xj = int(rng.integers(1, 7))
             if rng.integers(2):
                 lhs = ker.kernel_Q(i + 1, j, s, xj, p) - ker.kernel_Q(i + 1, j, xx, xj, p)
-                rhs = sum(ker.kernel_Q(i, j, v, xj, p) for v in range(s, xx))
+                rhs = sum(ker.kernel_Q(i, j, np.arange(s, xx), xj, p).tolist())
             else:
                 lhs = ker.kernel_Q(i, j + 1, xj, s, p) - ker.kernel_Q(i, j + 1, xj, xx, p)
-                rhs = sum(ker.kernel_Q(i, j, xj, v, p) for v in range(s, xx))
+                rhs = sum(ker.kernel_Q(i, j, xj, np.arange(s, xx), p).tolist())
             worst = max(worst, abs(lhs - rhs))
             lhs = ker.kernel_p(i + 1, s, p) - ker.kernel_p(i + 1, xx, p)
-            rhs = sum(ker.kernel_p(i, v, p) for v in range(s, xx))
+            rhs = sum(ker.kernel_p(i, np.arange(s, xx), p).tolist())
             worst = max(worst, abs(lhs - rhs))
             nm = int(rng.integers(0, 3))
             k = int(rng.integers(-2, 3))

@@ -8,7 +8,10 @@ import pytest
 
 import residue_oracle as per_pole
 from hsep.kernels import (
+    KernelTable,
     ModelParams,
+    _extract,
+    _series,
     kernel_p,
     kernel_Q,
     kernel_U,
@@ -34,16 +37,24 @@ def _torus_radii(params):
     return rw, rw + 2.0
 
 
-def kernel_Q_quadrature(a, b, x, y, params, nodes=256):
+def _tight_radii(params):
+    """Circles just outside the poles 0, alpha and 1 (R_u > R_w + 1 still keeps
+    the coupling pole out), so the integrand, of size about e^(t(R-1)) on
+    them, and with it the rounding of the quadrature, stay small up to t = 10."""
+    rw = max(1.0, params.alpha) + 0.15
+    return rw, rw + 1.15
+
+
+def kernel_Q_quadrature(a, b, x, y, params, nodes=256, radii=_torus_radii):
     """Q_{a,b}(x,y) by trapezoid quadrature on circles |w| = R_w, |u| = R_u.
 
-    R_u = R_w + 2 keeps the coupling pole w = 1 - u outside the inner circle
+    R_u > R_w + 1 keeps the coupling pole w = 1 - u outside the inner circle
     for every outer node, so this integrates the same iterated-contour object
     as the residue path, fully independently.
     """
     params.require_exact()
     al, t = params.alpha, params.t
-    rw, ru = _torus_radii(params)
+    rw, ru = radii(params)
     w = rw * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     u = ru * np.exp(2j * np.pi * (np.arange(nodes) + 0.5) / nodes)
     wg, ug = np.meshgrid(w, u)
@@ -331,3 +342,137 @@ class TestMemoReproducibility:
         first = kernel_Q(2, 3, 4, 5, p)
         fresh = type(table_for(p))(p).q_kernel(2, 3, 4, 5)
         assert abs(first - fresh) < 1e-12
+
+
+class TestBlockEvaluation:
+    """kernel_Q and kernel_p take arrays: an assembly asks for a block at once."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("t", [0.4, 2.9, 10.0])
+    def test_block_matches_scalar_and_quadrature(self, alpha, t):
+        p = ModelParams(alpha=alpha, t=t)
+        grid = np.meshgrid(*(np.arange(1, n + 1) for n in (5, 5, 40, 40)), indexing="ij")
+        block = kernel_Q(*grid, p)
+        assert block.shape == grid[0].shape and block.dtype == complex
+        rng = np.random.default_rng(round(10 * alpha + t))
+        for k, at in enumerate(zip(*(rng.integers(0, n, 40) for n in block.shape))):
+            a, b, x, y = (int(g[at]) for g in grid)
+            v = kernel_Q(a, b, x, y, p)
+            assert abs(block[at] - v) <= 1e-15 * abs(v), (a, b, x, y)
+            if k < 5:
+                q = kernel_Q_quadrature(a, b, x, y, p, nodes=320, radii=_tight_radii)
+                assert abs(v - q) <= 1e-9 * max(1.0, abs(q)), (a, b, x, y)
+
+    def test_rows_beyond_the_support(self):
+        # the Poisson weights end at j = 151 for t = 0.4 and at j = 1 for
+        # t = 0, where every u-side row is 0 and so is Q for y >= 1
+        for t, sites in ((0.4, (1, 75, 148, 150, 151, 152, 160)), (0.0, (1, 2, 5, 40))):
+            p = ModelParams(alpha=0.5, t=t)
+            x, y = np.meshgrid(sites, sites, indexing="ij")
+            block = kernel_Q(2, 3, x, y, p)
+            for (i, j), v in np.ndenumerate(block):
+                assert v == kernel_Q(2, 3, sites[i], sites[j], p)
+                assert abs(v - kernel_Q_quadrature(2, 3, sites[i], sites[j], p)) < 1e-10
+            if t == 0.0:
+                assert not block.any()
+
+    def test_span_growth_and_sites_below_one(self):
+        # a later b above the triangle's span, a y below 1 and an x below 1
+        # rebuild the shared arrays; the values match one block on a fresh table
+        p = ModelParams(alpha=1.5, t=0.8)
+        entries = [(1, 1, 2, 3), (5, 6, 4, 1), (3, 2, 5, -1), (2, 4, -3, 2), (6, 1, 0, 0)]
+        table = KernelTable(p)
+        seq = [table.q_kernel(*e) for e in entries]
+        fresh = KernelTable(p).q_kernel(*np.array(entries).T)
+        assert np.array_equal(seq, fresh)
+        for e, v in zip(entries, seq):
+            assert abs(v - kernel_Q_quadrature(*e, p)) < 1e-10
+
+    def test_shapes(self):
+        assert isinstance(kernel_Q(1, 2, 3, 4, P), complex)
+        assert isinstance(kernel_p(1, 3, P), complex)
+        assert kernel_Q(1, 2, np.arange(1, 4)[:, None], np.arange(1, 5), P).shape == (3, 4)
+        assert kernel_p([1, 2], 3, P).shape == (2,)
+        empty = np.zeros(0, dtype=int)
+        assert kernel_Q(1, 1, empty, empty, P).shape == (0,)
+        assert kernel_p(1, empty, P).shape == (0,)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
+    def test_p_is_the_k0_entry_of_the_w_side_row(self, alpha):
+        # A_{i,x}[k] = corr_i[x - k] is Q's w-side row; p_i(x) is its k = 0
+        # entry, and the sum over s of h_s pi[x + s] that defines p
+        p = ModelParams(alpha=alpha, t=2.9)
+        table = table_for(p)
+        i, x = np.meshgrid(np.arange(1, 6), np.arange(1, 41), indexing="ij")
+        values = kernel_p(i, x, p)
+        corr, row, lo = table._corr(np.arange(1, 6), 1)
+        assert np.array_equal(values, corr[row[i - 1], x - lo])
+        pi = table._support()
+        for (a, b), v in np.ndenumerate(values):
+            h = _series(alpha, 1, int(i[a, b]), table._SMAX)
+            assert abs(v - _extract(h, pi, int(x[a, b]))) <= 1e-15 * abs(v)
+
+
+class TestKernelTableMemory:
+    """A table holds its shared arrays, not one row or value per entry."""
+
+    def test_one_workload_point_holds_no_more_than_before(self):
+        # the calls of one tasep_exact point of the benchmark (Pfaffians with
+        # N <= 4, joint, current, conditional, GT with N <= 3).  Before the
+        # shared arrays, the table held 249,488 bytes of arrays here, in 793
+        # memo entries (an A row per (a, x), a G row per (b, y), a value per
+        # Q and p entry); it now holds 231,952 bytes in 98 entries.  The
+        # triangle is a fixed cost: at a point with no conditional call the
+        # figures were 200,648 bytes before and 227,288 now.
+        from hsep.conditional import conditional_distribution
+        from hsep.tasep_formulas import (
+            boundary_current_probability,
+            gt_pattern_sum,
+            joint_distribution,
+            tasep_transition_probability,
+        )
+
+        table_for.cache_clear()
+        t = 2.9
+        p = ModelParams(alpha=0.7, t=t)
+        for x in ((3,), (5,), (4, 2), (5, 1), (5, 3, 1), (7, 4, 2), (7, 5, 3, 1), (8, 6, 2, 1)):
+            tasep_transition_probability((), x, t, p)
+        for y, x in (((4,), (5,)), ((5,), (6, 2)), ((7, 5), (8, 6, 1)), ((8, 6), (9, 7, 4, 2)),
+                     ((7, 6, 4), (8, 7, 5)), ((8, 6, 5), (9, 7, 6, 3))):
+            tasep_transition_probability(y, x, t, p)
+        joint_distribution((), (5, 2), t, p)
+        joint_distribution((5,), (6, 4, 1), t, p)
+        boundary_current_probability(2, (), t, p)
+        boundary_current_probability(3, (5,), t, p)
+        for n, y, labels, thr in ((2, (), (1, 2), (1, 3)), (3, (5,), (1, 3), (2, 2)),
+                                  (4, (), (2, 4), (3, 1)), (2, (5, 3), (1, 2), (2, 2)),
+                                  (4, (8, 6), (1, 3), (1, 3))):
+            conditional_distribution(labels, thr, n, len(y), y, t, p)
+        gt_pattern_sum((5, 2), (), t, p)
+        gt_pattern_sum((6, 4), (5, 3), t, p)
+        gt_pattern_sum((4, 2, 1), (), t, p)
+        assert _array_bytes(table_for(p)) <= 249_488
+
+    def test_cold_points_keep_memory_flat(self):
+        # 100 parameter points, each asked for a block: the cache keeps the
+        # last 64 tables, each bounded by its triangle and correlations, and
+        # new entries at a point add no arrays
+        table_for.cache_clear()
+        grid = np.meshgrid(np.arange(1, 6), np.arange(1, 5), np.arange(1, 9), np.arange(1, 9))
+        points = [ModelParams(alpha=0.2 + 0.013 * k, t=0.4 + 0.025 * k) for k in range(100)]
+        for p in points:
+            kernel_Q(*grid, p)
+            kernel_p(np.arange(1, 6), 3, p)
+        assert table_for.cache_info().currsize == table_for.cache_info().maxsize == 64
+        sizes = [_array_bytes(table_for(p)) for p in points[-64:]]
+        assert table_for.cache_info().currsize == 64 and max(sizes) <= 256 * 1024
+        table = table_for(points[-1])
+        before = _array_bytes(table)
+        kernel_Q(grid[0], grid[1], grid[2] + 30, grid[3] + 1, points[-1])
+        assert _array_bytes(table) == before
+
+
+def _array_bytes(table):
+    """The bytes of the arrays a table's memo holds, alone or in a tuple."""
+    items = [w for v in table.memo.values() for w in (v if isinstance(v, tuple) else (v,))]
+    return sum(w.nbytes for w in items if isinstance(w, np.ndarray))
