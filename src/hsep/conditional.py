@@ -226,6 +226,8 @@ class ConditionalKernel:
         if not points:
             return 1.0
         value = pfaffian(symplectic_j(2 * len(points)) - self.matrix(points))
+        if not np.isfinite(value):
+            raise ArithmeticError("conditional Pfaffian is not finite")
         if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
             raise ArithmeticError(f"conditional Pfaffian has imaginary part {value.imag:g}")
         return value.real

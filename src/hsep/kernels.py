@@ -4,29 +4,23 @@ Every q = 0 kernel is a contour integral of
 
     (w-1)^a e^(t(w-1)) w^(-b) / (w-alpha)^e,      e in {0, 1},
 
-whose contour encloses every finite pole of the integrand.  Its value is
-therefore the w^(-1) coefficient of the expansion in the annulus beyond all
-poles, one Poisson-weighted sum evaluated here for all six kernels:
+around every finite pole of the integrand, so it is the w^(-1) coefficient
+of the expansion beyond all poles: with the Poisson weights
+pi[j] = e^(-t) t^j / j! and the 1/w coefficients T[m, s] of
+(1 - alpha/w)^(-e) (1 - 1/w)^(-m), one entry g(m, j) = sum_s T[m, s] pi[j+s].
+T[m] is the running sum of T[m-1], so summing by parts gives one recurrence,
 
-* ``kernel_Q``     -- the universal double-contour kernel Q_{a,b}(x,y)
-* ``kernel_p``     -- the single-contour column kernel p_i(x)
-* ``kernel_U``     -- the origin-residue kernel U_k(z) (depends on N - M)
-* ``kernel_Xi``    -- the initial-data kernels Xi_{N-k} and the convolved /
-                      virtual variants Xi^(i), Xi^[i)
-* ``phi_conv``, ``phi_neg``, ``phi_virtual``, ``theta`` -- the binomial
-  convolution algebra with virtual coordinates
+    g(m, j) = g(m-1, j) + g(m, j+1),    g(0, j) = pi[j] + e alpha g(0, j+1),
 
-In Q the coupling factor (u-w)/(1-u-w) is expanded in powers of w, which
-turns the double integral into a contraction over k of two rows of annulus
-coefficients: A_{a,x} from the w-side and G_{b,y} from the u-side.  Each
-KernelTable builds what these rows are read from once: one correlation of
-each w-side series with the Poisson weights, whose entries are A_{a,x}[k] and
-p_a(x) alike, and one triangle of running sums shared by every u-side row.
-``kernel_Q`` and ``kernel_p`` take arrays, so an assembly asks for a whole
-block of entries in one call, which builds each G row it needs once.  Torus
-quadrature with unequal radii (``tests/test_kernels.py``) and per-pole jet
-residues through ``hsep.numerics.residue_at`` (``tests/residue_oracle.py``)
-are the independent cross-check paths.
+with g = 0 past the support of pi.  For m >= 0 it adds positive terms only,
+over the whole support; a negative m is a forward difference.  ``kernel_p``
+and ``kernel_Q`` read the table with e = 1; ``kernel_U`` and the three
+``kernel_Xi`` kernels read the one with e = 0 (see KernelTable).
+``phi_conv``, ``phi_neg``, ``phi_virtual`` and ``theta`` are the binomial
+convolution algebra with virtual coordinates.  Torus quadrature with unequal
+radii (``tests/test_kernels.py``) and per-pole jet residues through
+``hsep.numerics.residue_at`` (``tests/residue_oracle.py``) are the
+independent cross-check paths.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ModelParams",
@@ -85,62 +78,37 @@ class ModelParams:
             raise ValueError("Pfaffian formulas require q = 0 (TASEP)")
 
 
-def _series(alpha, e, m, smax):
-    """Coefficients h_s, s <= smax, in 1/w of (1 - alpha/w)^(-e) (1 - 1/w)^(-m).
-
-    For m > 0 the factor (1 - 1/w)^(-m) is m running sums of the series of
-    the alpha factor; for m <= 0 it is the finite alternating binomial row.
-    Summing *all* enclosed poles through this single expansion avoids the
-    catastrophic cancellation that per-pole residues suffer when alpha < 1
-    and the site argument is large.
-    """
-    if e:
-        h = alpha ** np.arange(smax + 1)
-    else:
-        h = np.zeros(smax + 1)
-        h[0] = 1.0
-    if m > 0:
-        for _ in range(m):
-            h = np.cumsum(h)  # convolution with the all-ones series of 1/(w-1)
-        return h
-    row = np.array([(-1.0) ** s * math.comb(-m, s) for s in range(-m + 1)])
-    return np.convolve(h, row)[: smax + 1]
-
-
-def _extract(h, pois, j0):
-    """sum_s h_s pois[j0 + s]; pois[j] is 0 for j < 0 and past its end."""
-    lo = min(max(0, -j0), len(h))
-    seg = np.zeros(len(h) - lo)
-    got = pois[j0 + lo : j0 + len(h)]
-    seg[: len(got)] = got
-    return np.dot(h[lo:], seg)
-
-
 def _poisson_weights(t):
-    """e^(-t) t^j / j! up to the last nonzero one, computed iteratively.
+    """e^(-t) t^j / j! up to the last normal one, computed iteratively.
 
-    The weights rise to the mode and then fall to a first exact zero, after
-    which every weight is 0, so the loop stops there.  Raises ArithmeticError
-    once e^(-t) is subnormal (t > ~708): the weights would lose precision and
-    then vanish, and every kernel would read 0.
+    The weights rise to the mode and then fall.  Those left out (9 of 222 at
+    t = 2.9) move no entry above about 1e-300, and the tables' sums stay
+    fast.  Raises ArithmeticError once e^(-t) is subnormal (t > ~708).
     """
     w = [math.exp(-t)]
     if w[0] < sys.float_info.min:
         raise ArithmeticError(f"e^(-t) underflows at t = {t:g}; kernels need t <= 708")
-    while (nxt := w[-1] * t / len(w)) != 0.0:
+    while (nxt := w[-1] * t / len(w)) >= sys.float_info.min:
         w.append(nxt)
     return np.array(w)
 
 
 def _ints(*args):
-    """The arguments broadcast against each other, as flat int arrays, and their shape."""
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in args))
-    return [v.ravel() for v in arrays], arrays[0].shape
+    """The arguments broadcast against each other, one per row of a 2-D int
+    array, and their shape."""
+    arrays = [np.asarray(v, dtype=np.int64) for v in args]
+    out = np.empty((len(arrays),) + np.broadcast(*arrays).shape, dtype=np.int64)
+    for k, v in enumerate(arrays):
+        out[k] = v
+    return out.reshape(len(arrays), -1), out.shape[1:]
 
 
-def _strided(flat, start, rows, width, step):
-    """The (rows, width) view flat[start + r * step + c] of a 1-D array, no copy."""
-    return np.ndarray((rows, width), buffer=flat, offset=8 * start, strides=(8 * step, 8))
+def _windows(rows, width, step=1):
+    """The view v[r, c, k] = rows[r, c + k] of a C-contiguous 2-D float array,
+    no copy; with step = -1, v[r, c, k] = rows[r, -1 - c - k]."""
+    n, m = rows.shape
+    shape, strides = (n, m - width + 1, width), (8 * m, 8 * step, 8 * step)
+    return np.ndarray(shape, buffer=rows, offset=4 * (m - 1) * (1 - step), strides=strides)
 
 
 def _values(v, shape):
@@ -149,223 +117,155 @@ def _values(v, shape):
     return complex(v) if v.ndim == 0 else v.astype(complex)
 
 
+# Q gathers about this many k-sum terms at once, to bound a block's memory.
+_CHUNK = 1 << 15
+
+
 class KernelTable:
     """Kernel evaluations for one parameter set (gamma = 0).
 
-    memo holds the arrays every entry is read from, each built on first use,
-    and the memoized U and Xi coefficients:
-
-    * "pi": the Poisson weights pi[j] = e^(-t) t^j / j!, j < J, where J is
-      the end of their support (J = 151 at t = 0.4, 222 at t = 2.9, 304 at
-      t = 10; every later weight underflows to 0);
-    * ("corr", a, lo): corr_a[j] = sum_s h_s pi[j+s], h the series of
-      1/((w-alpha)(w-1)^a), for j from lo to J (_corr).  Q's w-side row is
-      A_{a,x}[k] = corr_a[x-k], and p_a(x) = corr_a[x];
-    * "T": the triangle of running sums that Q's u-side rows are read from,
-      with its span (_triangle).
+    pi holds the Poisson weights pi[j], j < J (J = 145 at t = 0.4, 213 at
+    t = 2.9, 293 at t = 10).  memo holds the arrays every entry is read from,
+    each built on first use and rebuilt larger when a request leaves it: "w"
+    and "u", the rows of g for e = 1 and e = 0 (_rows), and "d", the
+    diagonals of the e = 1 table (_diagonals).  No entry is memoized on its
+    own, so these arrays bound a table's memory.
     """
-
-    # The w-side series h_s stops at s = _SMAX.  That cuts A_{a,x}[k] where
-    # x - k + _SMAX < J - 1: at k near _KCAP from t = 15 on (J = 342), and
-    # p_a(x) = A_{a,x}[0] from t = 105 on (J = 705).
-    _SMAX = 700
-    # The coupling expansion of Q stops at k = _KCAP.  G_{b,y}[k] = 0 once
-    # y + k >= J, so this cuts the k-sum only where J - y > _KCAP + 1: from
-    # t = 18 on (J = 362) at y = 1.
-    _KCAP = 360
 
     def __init__(self, params: ModelParams):
         params.require_exact()
         self.params = params
+        self.pi = _poisson_weights(params.t)
         self.memo = {}
 
-    def _support(self):
-        """The Poisson weights up to the last nonzero one; later ones underflow to 0."""
-        if "pi" not in self.memo:
-            self.memo["pi"] = _poisson_weights(self.params.t)
-        return self.memo["pi"]
-
-    # -- the w-side: one correlation per a ----------------------------------
-
-    def _corr(self, a, jmin):
-        """(corr, row, lo): corr_v over j = lo..J for the distinct v of a,
-        stacked, and the row of each entry of a; lo <= jmin.
-
-        Each corr_v is one sliding-window product with h, every entry a sum
-        in s order, so an entry does not depend on the range of j it is built
-        over.  lo = -_KCAP covers
-        every site x >= 1; a lower jmin takes lo = -_SMAX - 1, the whole
-        range where corr_v can be nonzero (corr_v[lo] = 0).
+    def _rows(self, key, m_lo, m_hi, lo):
+        """memo[key] = (span, rows), rows[m - span[0], j - span[2]] = g(m, j)
+        for span[0] <= m <= span[1], span[2] <= j <= J and e = 1 (key "w") or
+        e = 0 ("u"), covering m_lo..m_hi and j >= lo.  The rows are built by
+        the recurrence from j = J down, so no entry depends on the span; column
+        J is 0 and stands for every j >= J.  The span holds m = 0 and
+        j >= 1 - J (all Q reads for sites >= 1) and grows by union.
         """
-        pi = self._support()
-        lo = -self._KCAP if jmin >= -self._KCAP else -self._SMAX - 1
-        keys = sorted(set(a.tolist()))
-        for v in keys:
-            if ("corr", v, lo) not in self.memo:
-                pad = np.zeros(len(pi) - lo + 1 + self._SMAX)
-                pad[-lo:][: len(pi)] = pi
-                h = _series(self.params.alpha, 1, v, self._SMAX)
-                self.memo["corr", v, lo] = sliding_window_view(pad, self._SMAX + 1) @ h
-        corr = np.stack([self.memo["corr", v, lo] for v in keys])
-        return corr, np.searchsorted(keys, a), lo
+        n = len(self.pi)
+        got = self.memo.get(key)
+        m0, m1, j0 = got[0] if got else (0, 0, 1 - n)
+        if got and m0 <= m_lo and m_hi <= m1 and j0 <= lo:
+            return got
+        m_lo, m_hi, lo = min(m_lo, m0), max(m_hi, m1), min(lo, j0)
+        rows = np.zeros((m_hi - m_lo + 1, n + 1 - lo))
+        rows[-m_lo, -lo : n - lo] = self.pi
+        alpha = self.params.alpha
+        if key == "w" and alpha:
+            row, acc = rows[-m_lo].tolist(), 0.0
+            for j in range(n - 1 - lo, -1, -1):
+                acc = row[j] = row[j] + alpha * acc
+            rows[-m_lo] = row
+        for r in range(1 - m_lo, len(rows)):
+            np.cumsum(rows[r - 1, ::-1], out=rows[r, ::-1])
+        for r in range(-m_lo - 1, -1, -1):
+            np.subtract(rows[r + 1, :-1], rows[r + 1, 1:], out=rows[r, :-1])
+        self.memo[key] = (m_lo, m_hi, lo), rows
+        return self.memo[key]
+
+    def _diagonals(self, b_hi, y_lo, y_hi):
+        """memo["d"] = ((b_hi, y_lo, y_hi), diag), diag[d + y_hi, j - y_lo] =
+        (-1)^j D_d[j] with D_d[j] = g(j + d, j) (e = 1), for every d = b + 1 - y
+        and b - y with 0 <= b <= b_hi, y_lo <= y <= y_hi; the rows run
+        y_hi - y_lo zeros past j = J, so Q reads windows of one length.
+        D_d is D_{d-1}[j] + D_{d-1}[j+1] where j + d > 0, row 0 of the table
+        at j = -d and 0 below, from D_{-J} = 0 up, so no entry depends on the
+        span.  A request beyond the span rebuilds it with b_hi and y_hi twice
+        the largest asked for (y_hi <= J): a few builds per table at most.
+        """
+        got = self.memo.get("d")
+        b1, y0, y1 = got[0] if got else (0, 1, 1)
+        if got and b_hi <= b1 and y0 <= y_lo and y_hi <= y1:
+            return got
+        n = len(self.pi)
+        b_hi = b1 if b_hi <= b1 else 2 * b_hi
+        y_lo, y_hi = min(y_lo, y0), y1 if y_hi <= y1 else min(2 * y_hi, n)
+        (m_lo, _, lo), rows = self._rows("w", 0, 0, y_lo)
+        row0 = rows[-m_lo, y_lo - lo :]
+        d_hi, end = b_hi + 1 - y_lo, n - y_lo  # end: the column of j = J
+        diag = np.zeros((d_hi + y_hi + 1, end + 1 + y_hi - y_lo))
+        below = np.zeros((2, end + 1))  # the diagonals below the span
+        prev = below[1]
+        for d in range(1 - n, d_hi + 1):
+            cur = diag[d + y_hi] if d >= -y_hi else below[d % 2]
+            i = max(-d - y_lo, 0)  # the entries left of j = -d are 0
+            np.add(prev[i:end], prev[i + 1 : end + 1], out=cur[i:end])
+            if -d >= y_lo:
+                cur[i] = row0[i]
+            prev = cur
+        diag[:, (y_lo + 1) % 2 :: 2] *= -1.0
+        self.memo["d"] = (b_hi, y_lo, y_hi), diag
+        return self.memo["d"]
 
     def p(self, i, x):
-        """p_i(x): contour surrounds 0 (iff x > i), alpha and 1; i, x broadcast.
-
-        The integrand is w^(i-x) e^(t(w-1)) / ((w-alpha)(w-1)^i), so
-        p_i(x) = sum_s h_s e^(-t) t^(x+s) / (x+s)! = corr_i[x], the k = 0
-        entry of Q's w-side row A_{i,x}.
-        """
-        (i, x), shape = _ints(i, x)
-        if not len(i):
-            return _values(np.zeros(0), shape)
-        corr, row, lo = self._corr(i, int(x.min()))
-        return _values(corr[row, np.clip(x - lo, 0, corr.shape[1] - 1)], shape)
-
-    # -- the u-side: one triangle of running sums ------------------------------
-
-    def _fold(self, m_lo, bmax, y0):
-        """(width, c, rows, half): the layout of the triangle for b <= bmax,
-        y >= y0, whose row r = m - m_lo (r < rows) is min(width, c - r) long."""
-        n0 = max(len(self._support()) - y0, 1)
-        width = min(self._SMAX + 1, n0)
-        c = n0 + bmax + 1 - m_lo
-        rows = bmax + 1 - m_lo + min(self._KCAP + 1, n0)
-        half = min(rows, max(-(-(2 * c - width + 1) // 2), -(-(rows + c - width) // 2)))
-        return width, c, rows, half
-
-    @staticmethod
-    def _start(r, width, c, half):
-        """Where row r of the folded triangle starts in its flat array."""
-        return r * width if r < half else (2 * half - r) * width - min(width, c - r)
-
-    def _triangle(self, bmin, bmax, ymin):
-        """memo["T"] = (span, flat): the triangle T[m, s] of running sums,
-        [w^(-s)] 1/((1-alpha/w)(1-1/w)^m), folded into the 1-D array flat,
-        with the rows of G_{b,y} for every b and y its span (m_lo, bmax, y0)
-        covers: m_lo <= b + 1, b <= bmax, y >= y0.  It covers bmin..bmax and
-        y >= ymin on return.
-
-        G_{b,y}[k] reads T[b+1+k, s] for s < J - y - k; later s meet only
-        zero weights.  Row m is the running sum of a prefix of row m - 1, and
-        a running sum is the same on every prefix, so no entry depends on the
-        span.  Over b <= bmax and y >= y0 these rows form a trapezoid: row
-        r = m - m_lo has length l_r = min(width, c - r).  Row r < half starts
-        line r of a (half + 1, width) array; row r >= half ends line
-        2 half - 1 - r, whose own row leaves it room (l_r plus that row's
-        length is at most width).  So the rows of each part are a constant
-        stride apart (width, and -(width - 1)), a block of them is one strided
-        view, and the triangle takes about half the memory of a rectangle.
-        What a view reads past the end of a row is another finite coefficient,
-        and it meets a zero weight.  A b or y beyond the span rebuilds it, for
-        b up to twice the largest b asked for, so a table builds it a few
-        times at most.  The span and the array are replaced together, so a
-        reader never pairs one with the other's layout.
-        """
-        got = self.memo.get("T")
-        if got and got[0][0] <= bmin + 1 and bmax <= got[0][1] and got[0][2] <= ymin:
-            return got
-        m_lo, b_hi, y0 = got[0] if got else (2, 1, 1)
-        span = (min(m_lo, bmin + 1), max(b_hi, 2 * bmax), min(y0, ymin))
-        width, c, rows, half = self._fold(*span)
-        flat = np.zeros((half + 1) * width)
-        prev = _series(self.params.alpha, 1, span[0], width - 1)
-        for r in range(rows):
-            row = flat[self._start(r, width, c, half) :][: min(width, c - r)]
-            if r:
-                np.add.accumulate(prev[: len(row)], out=row)
-            else:
-                row[:] = prev
-            prev = row
-        self.memo["T"] = span, flat
-        return span, flat
-
-    def _g_rows(self, pairs):
-        """{(b, y): G_{b,y}} for the given pairs, where
-
-            G_{b,y}[k] = (-1)^(k+1) sum_s T[b+1+k, s] pi[y+k+s],   k < min(_KCAP + 1, n),
-
-        is [u^(-1)] u^(b-y) e^(t(u-1)) / ((u-alpha)(u-1)^(b+k+1)).  With
-        n = max(J - y, 1), the sum runs over s < min(_SMAX + 1, n) for every
-        k, so its terms and their order depend on (b, y) alone, whichever
-        pairs are asked for with it.  The weights below the smallest normal
-        float (the last few of the support) are read as 0 here: they change
-        no entry above about 1e-240 in size, and multiplying them costs
-        several times more.
-        """
-        bs, ys = zip(*pairs)
-        span, flat = self._triangle(min(bs), max(bs), min(ys))
-        step, c, _, half = self._fold(*span)
-        pi = self._support()
-        lo = min(min(ys), 0)
-        pad = np.zeros(2 * (len(pi) - lo))
-        pad[-lo:][: len(pi)] = np.where(pi < sys.float_info.min, 0.0, pi)
-        out = {}
-        for b, y in pairs:
-            n = max(len(pi) - y, 1)
-            rows, width = min(self._KCAP + 1, n), min(self._SMAX + 1, n)
-            win = _strided(pad, min(y, len(pi)) - lo, rows, width, 1)
-            r = b + 1 - span[0]
-            fwd = min(max(half - r, 0), rows)
-            g = np.einsum("ks,ks->k", _strided(flat, r * step, fwd, width, step), win[:fwd])
-            if fwd < rows:
-                back = _strided(flat, self._start(r + fwd, step, c, half), rows - fwd, width, 1 - step)
-                g = np.concatenate([g, np.einsum("ks,ks->k", back, win[fwd:])])
-            g[::2] *= -1.0
-            out[b, y] = g
-        return out
+        """p_i(x) = g(i, x) for broadcast i, x, the k = 0 entry of Q's w-side
+        row A_{i,x}: the integrand w^(i-x) e^(t(w-1)) / ((w-alpha)(w-1)^i) has
+        its contour around 0 (iff x > i), alpha and 1."""
+        v, shape = _ints(i, x)
+        (i_lo, x_lo), (i_hi, _) = v.min(1, initial=0).tolist(), v.max(1, initial=0).tolist()
+        (m_lo, _, lo), rows = self._rows("w", i_lo, i_hi, x_lo)
+        i, x = v
+        return _values(rows[i - m_lo, np.minimum(x - lo, rows.shape[1] - 1)], shape)
 
     def q_kernel(self, a, b, x, y):
-        """Q_{a,b}(x,y) for broadcast a, b, x, y, one block of entries at once.
+        """Q_{a,b}(x,y) for broadcast a, b >= 0, x, y, one block of entries at once.
 
         Inner w-integral first (coupling pole excluded, per the unequal-radii
         contour choice); expanding the coupling as
-        (u-w)/(1-u-w) = sum_k (u A[k] - A[k+1]) w^k clears the w-integral and
-        leaves, for each k, a u-integral: the signed annulus coefficient G[k],
+        (u-w)/(1-u-w) = sum_k (u A[k] - A[k+1]) w^k leaves
 
-            Q = alpha^2 sum_k (A_{a,x}[k] G_{b,y}[k] - A_{a,x}[k+1] G_{b,y+1}[k]).
+            Q = alpha^2 sum_k (A_{a,x}[k] G_{b,y}[k] - A_{a,x}[k+1] G_{b,y+1}[k])
 
-        Each distinct G row is built once per call, the entries are taken in
-        groups of equal y (whose G rows have one length), and each sum runs
-        over k in order (np.add.accumulate), so a value does not depend on the
-        block it is asked for in.
+        with the w-side row A_{a,x}[k] = g(a, x-k) and the u-side row
+        G_{b,y}[k] = -(-1)^k g(b+1+k, y+k), 0 once y + k >= J, which lies on
+        the diagonal b + 1 - y of the table (_diagonals).  Both are read as
+        windows over the block's whole support, and each sum runs over k in
+        order, so a value does not depend on the block it is asked for in.
         """
-        (a, b, x, y), shape = _ints(a, b, x, y)
-        if not len(a):
-            return _values(np.zeros(0), shape)
-        pairs = sorted(set(zip(b.tolist(), y.tolist())))
-        g = self._g_rows(sorted(set(pairs) | {(bv, yv + 1) for bv, yv in pairs}))
-        corr, row, lo = self._corr(a, int(x.min()) - self._KCAP - 1)
-        total = np.empty(len(a))
-        for yv in sorted(set(y.tolist())):
-            sel = y == yv
-            bs = sorted({bv for bv, v in pairs if v == yv})
-            at = np.searchsorted(bs, b[sel])
-            g1 = np.stack([g[bv, yv] for bv in bs])[at]
-            g0 = np.stack([g[bv, yv + 1] for bv in bs])[at]
-            j = np.clip(x[sel, None] - lo - np.arange(g1.shape[1] + 1), 0, corr.shape[1] - 1)
-            w = corr[row[sel, None], j]
+        v, shape = _ints(a, b, x, y)
+        n = len(self.pi)
+        np.minimum(v[3], n, out=v[3])
+        lows, highs = v.min(1, initial=n).tolist(), v.max(1, initial=0).tolist()
+        (a_lo, b_lo, x_lo, y_lo), (a_hi, b_hi, x_hi, y_hi) = lows, highs
+        if b_lo < 0:
+            raise ValueError("Q_{a,b} needs b >= 0")
+        width = n - y_lo  # the k-sum's length; 0 for an empty block
+        if width <= 0:
+            return _values(np.zeros(v.shape[1]), shape)
+        (_, j_lo, d_off), diag = self._diagonals(b_hi, y_lo, y_hi)
+        (m_lo, _, lo), rows = self._rows("w", a_lo, a_hi, x_lo - width)
+        if x_hi > n:  # the rows end at J; past n + width every A[k] is 0
+            x_hi = min(x_hi, n + width + 1)
+            np.minimum(v[2], x_hi, out=v[2])
+            rows = np.pad(rows, ((0, 0), (0, x_hi - n)))
+        a, b, x, y = v
+        # A_{a,x} = aw[a - m_lo, c - x] and G_{b,y} = -(-1)^y gw[b + 1 - y + d_off, y - j_lo]
+        aw = _windows(rows, width + 1, step=-1)
+        gw = _windows(diag, width)
+        c = rows.shape[1] - 1 + lo
+        total = np.empty(v.shape[1])
+        chunk = max(_CHUNK // (width + 1), 1)
+        for s in range(0, len(total), chunk):
+            sel = slice(s, s + chunk)
+            w = aw[a[sel] - m_lo, c - x[sel]]
+            d, j = b[sel] + 1 - y[sel] + d_off, y[sel] - j_lo
             total[sel] = (
-                np.add.accumulate(w[:, :-1] * g1, axis=1)[:, -1]
-                - np.add.accumulate(w[:, 1 : g0.shape[1] + 1] * g0, axis=1)[:, -1]
+                np.add.accumulate(w[:, :-1] * gw[d, j], axis=1)[:, -1]
+                + np.add.accumulate(w[:, 1:] * gw[d - 1, j + 1], axis=1)[:, -1]
             )
-        return _values(self.params.alpha**2 * total, shape)
+        return _values((2 * (y & 1) - 1) * (self.params.alpha**2 * total), shape)
 
     # -- U and the initial-data kernels ----------------------------------------
 
     def annulus(self, m, j0):
-        """Memoized sum_s h_s pi[j0+s], h the series of (1 - 1/w)^(-m): the
-        integral around all the poles of
-
-            (w-1)^(-m) e^(t(w-1)) / w^(j0-m+1).
-
-        U_k and the three Xi kernels are each one such coefficient.
-        """
-        key = ("ann", m, j0)
-        if key not in self.memo:
-            h = _series(self.params.alpha, 0, m, self._SMAX)
-            self.memo[key] = complex(_extract(h, self._support(), j0))
-        return self.memo[key]
+        """g(m, j0) of the e = 0 table, the integral around all the poles of
+        (w-1)^(-m) e^(t(w-1)) / w^(j0-m+1): U_k and each Xi kernel is one."""
+        (m_lo, _, lo), rows = self._rows("u", m, m, j0)
+        return complex(rows[m - m_lo, min(j0 - lo, rows.shape[1] - 1)])
 
 
 @lru_cache(maxsize=64)

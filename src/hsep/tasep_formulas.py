@@ -43,16 +43,29 @@ __all__ = [
 ]
 
 _IMAG_TOL = 1e-9
+_PROB_TOL = 1e-9  # how far a probability may round past 0 or 1
 _Z_MAX_TAIL = 1e-13  # Poisson tail mass that suggest_z_max leaves out
 
 
 def _real(value, what="Pfaffian value"):
-    """The real part of a value (or array of values) with a negligible imaginary part."""
+    """The real part of a value (or array of values) with a negligible imaginary
+    part; a value that is not finite is refused too."""
     v = np.asarray(value, dtype=complex)
+    if not np.isfinite(v).all():
+        raise ArithmeticError(f"{what} is not finite")
     bad = np.abs(v.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(v))
     if bad.any():
         raise ArithmeticError(f"{what} has imaginary part {v.imag[bad].flat[0]:g}")
     return v.real if v.ndim else float(v.real)
+
+
+def _probability(value):
+    """A Pfaffian probability, refused (beyond _real) when it lies outside
+    [0, 1] by more than rounding: its kernel sums have lost their accuracy."""
+    p = _real(value)
+    if not -_PROB_TOL <= p <= 1.0 + _PROB_TOL:
+        raise ArithmeticError(f"probability {p:g} lies outside [0, 1]")
+    return p
 
 
 def require_well_separated(y, n):
@@ -113,7 +126,7 @@ def tasep_transition_probability(y, x, t, params: ModelParams):
     y = require_well_separated(y, n)
     if n == 0:
         return math.exp(-params.alpha * params.t)
-    return _real(_pfaffian_value(x, y, params, shift=0))
+    return _probability(_pfaffian_value(x, y, params, shift=0))
 
 
 def joint_distribution(y, s, t, params: ModelParams):
@@ -129,7 +142,7 @@ def joint_distribution(y, s, t, params: ModelParams):
     y = require_well_separated(y, n)
     if n == 0:
         raise ValueError("need at least one threshold")
-    return _real(_pfaffian_value(s, y, params, shift=1))
+    return _probability(_pfaffian_value(s, y, params, shift=1))
 
 
 def boundary_current_probability(n, y, t, params: ModelParams):
@@ -146,7 +159,7 @@ def boundary_current_probability(n, y, t, params: ModelParams):
             return 0.0
         return math.exp(-params.alpha * params.t)
     s = tuple([1] * n)
-    return _real(_pfaffian_value(s, y, params, shift=1))
+    return _probability(_pfaffian_value(s, y, params, shift=1))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,18 @@ class TestSubcommands:
         assert payload["difference"] < 1e-9
         assert "residual_im" not in payload  # nothing measures it
 
+    def test_tasep_prob_at_large_alpha(self, capsys):
+        # alpha^700 overflows above alpha = 2.757; the kernels form no such power
+        rc, out = run_cli(
+            ["tasep-prob", "--y", "", "--x", "3,1", "--alpha", "3", "--t", "1", "--oracle"],
+            capsys,
+        )
+        assert rc == 0
+        payload = json.loads(out)
+        assert math.isfinite(payload["value"])
+        assert round(payload["value"], 6) == 0.071932
+        assert payload["difference"] < 1e-12
+
     def test_asep_prob(self, capsys):
         rc, out = run_cli(
             [
@@ -187,6 +199,14 @@ class TestExitCodes:
         rc = main(["tasep-prob", "--x", "1", "--alpha", alpha, "--t", t])
         assert rc == 3
         assert "finite and non-negative" in capsys.readouterr().err
+
+    def test_non_finite_value_is_4(self, capsys, monkeypatch):
+        import hsep.tasep_formulas
+
+        monkeypatch.setattr(hsep.tasep_formulas, "pfaffian", lambda mat: complex(math.nan, 0.0))
+        rc = main(["tasep-prob", "--x", "3,1", "--t", "1", "--alpha", "0.5"])
+        assert rc == 4
+        assert "not finite" in capsys.readouterr().err
 
     def test_bad_config_is_3(self, capsys):
         rc, _ = run_cli(

@@ -252,6 +252,14 @@ class TestKernelAgreement:
 
 
 class TestConditionalDistribution:
+    def test_non_finite_gap_probability_refused(self, monkeypatch):
+        import hsep.conditional
+
+        kernel = conditional_kernel(2, 0, (), P)
+        monkeypatch.setattr(hsep.conditional, "pfaffian", lambda mat: complex(math.nan, 0.0))
+        with pytest.raises(ArithmeticError, match="not finite"):
+            kernel.gap_probability((1, 2), (1, 2))
+
     def test_trivial_projection(self):
         assert conditional_distribution((2,), (0,), 2, 0, (), 1.0, P) == 1.0
         assert conditional_distribution((), (), 0, 0, (), 1.0, P) == 1.0

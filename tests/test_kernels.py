@@ -1,7 +1,11 @@
 """The integral kernels and the binomial convolution algebra."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,6 @@ import residue_oracle as per_pole
 from hsep.kernels import (
     KernelTable,
     ModelParams,
-    _extract,
-    _series,
     kernel_p,
     kernel_Q,
     kernel_U,
@@ -26,6 +28,7 @@ from hsep.kernels import (
 )
 
 P = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- torus quadrature: the independent cross-check of the annulus path -------
@@ -377,7 +380,7 @@ class TestBlockEvaluation:
                 assert not block.any()
 
     def test_span_growth_and_sites_below_one(self):
-        # a later b above the triangle's span, a y below 1 and an x below 1
+        # a later b above the diagonals' span, a y below 1 and an x below 1
         # rebuild the shared arrays; the values match one block on a fresh table
         p = ModelParams(alpha=1.5, t=0.8)
         entries = [(1, 1, 2, 3), (5, 6, 4, 1), (3, 2, 5, -1), (2, 4, -3, 2), (6, 1, 0, 0)]
@@ -399,18 +402,29 @@ class TestBlockEvaluation:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
     def test_p_is_the_k0_entry_of_the_w_side_row(self, alpha):
-        # A_{i,x}[k] = corr_i[x - k] is Q's w-side row; p_i(x) is its k = 0
-        # entry, and the sum over s of h_s pi[x + s] that defines p
+        # A_{i,x}[k] = g(i, x - k) is Q's w-side row; p_i(x) is its k = 0
+        # entry, and the sum over s of h_s pi[x + s] that defines p, here
+        # over the whole support with a series built apart from the table
         p = ModelParams(alpha=alpha, t=2.9)
         table = table_for(p)
         i, x = np.meshgrid(np.arange(1, 6), np.arange(1, 41), indexing="ij")
         values = kernel_p(i, x, p)
-        corr, row, lo = table._corr(np.arange(1, 6), 1)
-        assert np.array_equal(values, corr[row[i - 1], x - lo])
-        pi = table._support()
-        for (a, b), v in np.ndenumerate(values):
-            h = _series(alpha, 1, int(i[a, b]), table._SMAX)
-            assert abs(v - _extract(h, pi, int(x[a, b]))) <= 1e-15 * abs(v)
+        kernel_Q(i, 1, x, 1, p)
+        (m_lo, _, lo), rows = table.memo["w"]
+        assert np.array_equal(values, rows[i - m_lo, x - lo])
+        pi = table.pi
+        for (r, c), v in np.ndenumerate(values):
+            h = _w_series(alpha, int(i[r, c]), len(pi))
+            direct = math.fsum(h[: len(pi) - x[r, c]] * pi[x[r, c] :])
+            assert abs(v - direct) <= 1e-15 * abs(v), (i[r, c], x[r, c])
+
+
+def _w_series(alpha, m, n):
+    """h_s, s < n: the 1/w coefficients of 1/((1 - alpha/w)(1 - 1/w)^m), m >= 0."""
+    h = alpha ** np.arange(n, dtype=float)
+    for _ in range(m):
+        h = np.cumsum(h)
+    return h
 
 
 class TestKernelTableMemory:
@@ -421,9 +435,10 @@ class TestKernelTableMemory:
         # N <= 4, joint, current, conditional, GT with N <= 3).  Before the
         # shared arrays, the table held 249,488 bytes of arrays here, in 793
         # memo entries (an A row per (a, x), a G row per (b, y), a value per
-        # Q and p entry); it now holds 231,952 bytes in 98 entries.  The
-        # triangle is a fixed cost: at a point with no conditional call the
-        # figures were 200,648 bytes before and 227,288 now.
+        # Q and p entry); it now holds 199,368 bytes: the weights and 3 memo
+        # entries, the rows of both tables and the diagonals, which span
+        # y <= 64 after the GT sums ask for y <= 32.  At a point with no conditional call the figures
+        # were 200,648 bytes before and 195,960 now.
         from hsep.conditional import conditional_distribution
         from hsep.tasep_formulas import (
             boundary_current_probability,
@@ -454,15 +469,25 @@ class TestKernelTableMemory:
         assert _array_bytes(table_for(p)) <= 249_488
 
     def test_cold_points_keep_memory_flat(self):
-        # 100 parameter points, each asked for a block: the cache keeps the
-        # last 64 tables, each bounded by its triangle and correlations, and
-        # new entries at a point add no arrays
+        # 100 parameter points, each asked for a block and for U and Xi at 200
+        # sites in four blocks: the cache keeps the last 64 tables, each
+        # bounded by its rows and diagonals, and new entries at a point add
+        # no arrays and no memo entries after its first block
         table_for.cache_clear()
         grid = np.meshgrid(np.arange(1, 6), np.arange(1, 5), np.arange(1, 9), np.arange(1, 9))
         points = [ModelParams(alpha=0.2 + 0.013 * k, t=0.4 + 0.025 * k) for k in range(100)]
+        sites = np.arange(-100, 100).reshape(4, 50)
         for p in points:
             kernel_Q(*grid, p)
             kernel_p(np.arange(1, 6), 3, p)
+            table = table_for(p)
+            for block, zs in enumerate(sites.tolist()):
+                for z in zs:
+                    kernel_U(2, z, 1, p)
+                    kernel_Xi(3, 1, 4, z, p)
+                if block == 0:
+                    first = len(table.memo), _array_bytes(table)
+            assert (len(table.memo), _array_bytes(table)) == first
         assert table_for.cache_info().currsize == table_for.cache_info().maxsize == 64
         sizes = [_array_bytes(table_for(p)) for p in points[-64:]]
         assert table_for.cache_info().currsize == 64 and max(sizes) <= 256 * 1024
@@ -473,6 +498,20 @@ class TestKernelTableMemory:
 
 
 def _array_bytes(table):
-    """The bytes of the arrays a table's memo holds, alone or in a tuple."""
+    """The bytes of a table's Poisson weights and of the arrays its memo holds,
+    alone or in a tuple."""
     items = [w for v in table.memo.values() for w in (v if isinstance(v, tuple) else (v,))]
-    return sum(w.nbytes for w in items if isinstance(w, np.ndarray))
+    return table.pi.nbytes + sum(w.nbytes for w in items if isinstance(w, np.ndarray))
+
+
+def test_import_leaves_scipy_signal_out():
+    # the kernel tables need no filter: importing scipy.signal alone costs
+    # about a second and 50 MB, which every process start would pay
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hsep, sys; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -14,6 +14,8 @@ from hsep.tasep_formulas import (
     GTPattern,
     PatternCapError,
     _matrix,
+    _probability,
+    _real,
     _top_rows,
     boundary_current_probability,
     enumerate_gt_patterns,
@@ -67,6 +69,32 @@ class TestTransitionProbability:
                 x = tuple(sorted(sites, reverse=True))
                 f = tasep_transition_probability(y, x, 1.0, P)
                 assert abs(f - dist.probability(x)) < 1e-10
+
+    @pytest.mark.parametrize("alpha", [2.76, 3.0, 5.0])
+    def test_large_alpha_matches_oracle(self, alpha):
+        # alpha^700 overflows above alpha = 2.757; the kernels form no such power
+        p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=1.0)
+        dist = oracle_distribution((), 1.0, p, s_max=16)
+        for n in range(1, 5):
+            for sites in combinations(range(1, 8), n):
+                x = tuple(sorted(sites, reverse=True))
+                f = tasep_transition_probability((), x, 1.0, p)
+                assert math.isfinite(f) and abs(f - dist.probability(x)) < 1e-12, x
+
+    @pytest.mark.parametrize(
+        "value", [complex(math.nan, 0.0), complex(math.inf, 0.0), np.array([0.25, math.nan])]
+    )
+    def test_non_finite_value_refused(self, value):
+        # abs(nan) > tol is False: the imaginary-part check alone would pass NaN
+        with pytest.raises(ArithmeticError, match="not finite"):
+            _real(value)
+
+    @pytest.mark.parametrize("value", [-1e-6, 1.5, -1.5e17])
+    def test_probability_outside_unit_interval_refused(self, value):
+        # what the alternating k-sum of Q returns once it has lost all accuracy
+        with pytest.raises(ArithmeticError, match="outside"):
+            _probability(complex(value, 0.0))
+        assert _probability(complex(-1e-12, 0.0)) == -1e-12
 
     def test_validity_domain_rejected(self):
         with pytest.raises(ValueError):
