@@ -39,7 +39,7 @@ for (x, y) in (((3, 1), ()), ((4, 2, 1), ()), ((5, 2), (6, 4))):
 # The measure on triangular arrays vanishes off the interlacing set and
 # equals the top-row Pfaffian weight on it.
 print("\nW-measure on a non-interlacing array:", w_measure([(3,), (2, 2)], (), 2, params))
-print("W-measure on a pattern:", complex(w_measure([(3,), (1, 5)], (), 2, params)).real)
+print("W-measure on a pattern:", w_measure([(3,), (1, 5)], (), 2, params))
 
 # The dense L-ensemble represents the same measure: restricted Pfaffians of
 # L are proportional to W across every configuration (wrong fiber counts
@@ -48,9 +48,7 @@ ens = correlation_kernel_bruteforce(2, 0, (), params, 6)
 ratios = []
 for rows in ([(3,), (1, 4)], [(3,), (2, 5)], [(4,), (1, 6)]):
     a = [(1, rows[0][0]), (2, rows[1][0]), (2, rows[1][1])]
-    ratios.append(
-        complex(ens.pf_l_restricted(a)).real / complex(w_measure(rows, (), 2, params)).real
-    )
+    ratios.append(ens.pf_l_restricted(a) / w_measure(rows, (), 2, params))
 print("\nPf[L|_(V u A)] / W over three patterns:", [f"{r:.6f}" for r in ratios])
 print("wrong fiber count:", ens.pf_l_restricted([(1, 2), (1, 3), (2, 4)]))
 
@@ -58,7 +56,7 @@ print("wrong fiber count:", ens.pf_l_restricted([(1, 2), (1, 3), (2, 4)]))
 # kernel K = J + (J+L)^{-1}|_XX; the analytic four-part kernel agrees.
 kern = conditional_kernel(2, 0, (), params)
 z1, z2 = (1, 2), (2, 3)
-blk = np.zeros((4, 4), dtype=complex)
+blk = np.zeros((4, 4))
 for a, za in enumerate((z1, z2)):
     for b, zb in enumerate((z1, z2)):
         blk[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] = ens.kernel_block(*za, *zb)
@@ -70,8 +68,8 @@ rho = 0.0
 for r in range(len(points) + 1):
     for sub in combinations(points, r):
         if z1 in sub and z2 in sub:
-            rho += complex(ens.measure(list(sub))).real
-print(f"\ncorrelation rho(z1, z2): brute {rho:.10f} vs Pf[K] {complex(pfaffian(blk)).real:.10f}")
+            rho += ens.measure(list(sub))
+print(f"\ncorrelation rho(z1, z2): brute {rho:.10f} vs Pf[K] {pfaffian(blk):.10f}")
 wide = correlation_kernel_bruteforce(2, 0, (), params, 16)
 print(
     "analytic kernel block matches brute force:",

@@ -56,7 +56,7 @@ print(
 kern = conditional_kernel(2, 2, (5, 3), params)
 brute = correlation_kernel_bruteforce(2, 2, (5, 3), params, 20)
 blk, blk_brute = kern.block(1, 4, 2, 6), brute.kernel_block(1, 4, 2, 6)
-print("K(1, 4; 2, 6), N=M=2, y=(5,3):\n", np.round(blk.real, 10))
+print("K(1, 4; 2, 6), N=M=2, y=(5,3):\n", np.round(blk, 10))
 print("largest difference from brute force:", np.max(np.abs(blk - blk_brute)))
 
 # Conditional probabilities for empty initial data, N = 2.

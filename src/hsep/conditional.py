@@ -42,7 +42,7 @@ from .kernels import (
 )
 from .markov_oracle import as_config, require_event
 from .pfaffian import pfaffian, symplectic_j
-from .tasep_formulas import require_well_separated
+from .tasep_formulas import _real, require_well_separated
 
 __all__ = [
     "moment_matrix",
@@ -64,7 +64,7 @@ GRAM_COND_MAX = 2e6
 
 def moment_matrix(n, params):
     """script-N: [N]_{k,l} = Q_{N-k+2,N-l+2}(1,1), the e-basis Psi pairing."""
-    mat = np.zeros((n, n), dtype=complex)
+    mat = np.zeros((n, n))
     k, l = np.triu_indices(n, 1)
     mat[k, l] = kernel_Q(n - k + 1, n - l + 1, 1, 1, params)
     return mat - mat.T
@@ -76,11 +76,8 @@ def virtual_pairing_matrix(n, m, y, params):
     Under the separation y_M > N-M+1 it has the block form [S_M; 0] with
     S_M upper triangular and diagonal (-1)^k.
     """
-    mat = np.zeros((n, m), dtype=complex)
-    for a in range(1, n + 1):
-        for b in range(1, m + 1):
-            mat[a - 1, b - 1] = kernel_Xi_virtual(a, b, y[b - 1], params)
-    return mat
+    a, b = np.arange(1, n + 1)[:, None], np.arange(1, m + 1)
+    return kernel_Xi_virtual(a, b, np.asarray(y[:m], dtype=int), params)
 
 
 @dataclass
@@ -171,7 +168,7 @@ class ConditionalKernel:
         [phi_{(j,i]}(x2, x1), 0]] for broadcast (i, x1; j, x2), shape (..., 2, 2)."""
         n = self.n
         i, x1, j, x2 = np.broadcast_arrays(i, x1, j, x2)
-        blk = np.zeros(i.shape + (2, 2), dtype=complex)
+        blk = np.zeros(i.shape + (2, 2))
         blk[..., 0, 0] = kernel_Q(n - i + 1, n - j + 1, x1, x2, self.params)
         for at in np.ndindex(i.shape):
             a, u, b, v = int(i[at]), int(x1[at]), int(j[at]), int(x2[at])
@@ -181,20 +178,13 @@ class ConditionalKernel:
 
     def _rows(self, points):
         """The rows E and D of every point, each a (P, N + M) array."""
-        n, y, params = self.n, self.gram.y, self.params
-        span = range(1, n + 1)
+        n, params = self.n, self.params
         i, x = (np.array(v, dtype=int)[:, None] for v in zip(*points))
         a = kernel_Q(n - i + 1, n - np.arange(1, n + 1) + 2, x, 1, params)
-        d = [[float(phi_virtual(l, i, x)) for l in span] for i, x in points]
-        xi = np.array(
-            [[kernel_Xi_upper(i, k, y[k - 1], x, params) for k in range(1, self.m + 1)]
-             for i, x in points],
-            dtype=complex,
-        ).reshape(len(points), self.m)
-        return (
-            np.hstack([a, xi]),
-            np.hstack([np.array(d, dtype=complex), np.zeros_like(xi)]),
-        )
+        d = [[float(phi_virtual(l, i, x)) for l in range(1, n + 1)] for i, x in points]
+        k, y = np.arange(1, self.m + 1), np.asarray(self.gram.y, dtype=int)
+        xi = kernel_Xi_upper(i, k, y, x, params)
+        return np.hstack([a, xi]), np.hstack([np.array(d), np.zeros_like(xi)])
 
     def matrix(self, points):
         """The 2P x 2P skew matrix of the blocks K(z_a; z_b), z = (i, x), from
@@ -226,11 +216,7 @@ class ConditionalKernel:
         if not points:
             return 1.0
         value = pfaffian(symplectic_j(2 * len(points)) - self.matrix(points))
-        if not np.isfinite(value):
-            raise ArithmeticError("conditional Pfaffian is not finite")
-        if abs(value.imag) > 1e-9 * max(1.0, abs(value)):
-            raise ArithmeticError(f"conditional Pfaffian has imaginary part {value.imag:g}")
-        return value.real
+        return _real(value, "conditional Pfaffian")
 
 
 def conditional_kernel(n, m, y, params: ModelParams):
@@ -270,7 +256,7 @@ class BruteForceEnsemble:
         self.points += [("p", i, x) for i in range(1, n + 1) for x in range(1, x_max + 1)]
         self.index = {pt: 2 * k for k, pt in enumerate(self.points)}
         dim = 2 * len(self.points)
-        lmat = np.zeros((dim, dim), dtype=complex)
+        lmat = np.zeros((dim, dim))
 
         def put(row, col, val):
             lmat[row, col] += val
@@ -299,12 +285,9 @@ class BruteForceEnsemble:
             put(self.index[("p", n, u + 1)] + 1, self.index[("p", n, v + 1)] + 1, val)
         # Xi columns: (N, x)'' -> dagger_(N+l)''
         for l in range(1, m + 1):
-            for x in range(1, x_max + 1):
-                put(
-                    self.index[("p", n, x)] + 1,
-                    self.index[("v", n + l)] + 1,
-                    kernel_Xi(n, l, y[l - 1], x, params),
-                )
+            xi = kernel_Xi(n, l, y[l - 1], np.arange(1, x_max + 1), params)
+            for x, val in enumerate(xi.tolist(), start=1):
+                put(self.index[("p", n, x)] + 1, self.index[("v", n + l)] + 1, val)
         self.lmat = lmat
         jmat = np.zeros_like(lmat)
         for i in range(1, n + 1):
@@ -354,9 +337,12 @@ def correlation_kernel_bruteforce(n, m, y, params: ModelParams, x_max):
 # ---------------------------------------------------------------------------
 
 
-def _fullspace_f(j, k, y, x, params):
-    """f^j_{j-k}(x) = (-1)^k Xi^(j)_{N-k}(x), defined for any integer x, y_k."""
-    return ((-1.0) ** k * kernel_Xi_upper(j, k, y[k - 1], x, params)).real
+def _fullspace_f(j, x, y, params):
+    """f^j_{j-k}(x) = (-1)^k Xi^(j)_{N-k}(x) for k = 1..len(y) along a last
+    axis, j and x broadcast; defined for any integer x, y_k."""
+    k = np.arange(1, len(y) + 1)
+    j, x = (np.asarray(v)[..., None] for v in (j, x))
+    return (-1.0) ** k * kernel_Xi_upper(j, k, np.asarray(y), x, params)
 
 
 def _fullspace_params(t):
@@ -379,9 +365,9 @@ def fullspace_biorthogonal(j, y, t):
     params = _fullspace_params(t)
     lo, hi = _support_range(y, params.t)
     xs = np.arange(lo, hi + 1)
-    fvals = np.array(
-        [[_fullspace_f(j, k, y, int(x), params) for x in xs] for k in range(1, j + 1)]
-    )
+    # row k-1 holds f^j_{j-k} over xs; kept row-major, since the product's
+    # rounding follows the layout BLAS is handed
+    fvals = np.ascontiguousarray(_fullspace_f(j, xs, y[:j], params).T)
     moments = fvals @ np.vander(xs.astype(float), j, increasing=True)
     # row k-1 of moments^-T holds the monomial coefficients of g^j_{j-k}
     return np.linalg.inv(moments).T
@@ -416,7 +402,7 @@ def fullspace_distribution(p_labels, a_thresholds, y, t):
     ))
     params = _fullspace_params(t)
     g = {j: fullspace_biorthogonal(j, y, params.t) for j in set(p_labels)}
-    f = np.array([[_fullspace_f(i, k, y, x, params) for k in range(1, n + 1)] for i, x in points])
+    f = _fullspace_f(*np.array(points).T, y, params)
     gmat = np.zeros((len(points), n))
     for c, (j, x) in enumerate(points):
         gmat[c, :j] = g[j] @ float(x) ** np.arange(j)

@@ -15,7 +15,9 @@ T[m] is the running sum of T[m-1], so summing by parts gives one recurrence,
 with g = 0 past the support of pi.  For m >= 0 it adds positive terms only,
 over the whole support; a negative m is a forward difference.  ``kernel_p``
 and ``kernel_Q`` read the table with e = 1; ``kernel_U`` and the three
-``kernel_Xi`` kernels read the one with e = 0 (see KernelTable).
+``kernel_Xi`` kernels read the one with e = 0 (see KernelTable).  All six
+take broadcast integer arguments and return a float, or a float64 array of
+the broadcast shape read in one gather: every q = 0 kernel value is real.
 ``phi_conv``, ``phi_neg``, ``phi_virtual`` and ``theta`` are the binomial
 convolution algebra with virtual coordinates.  Torus quadrature with unequal
 radii (``tests/test_kernels.py``) and per-pole jet residues through
@@ -112,9 +114,9 @@ def _windows(rows, width, step=1):
 
 
 def _values(v, shape):
-    """One complex value for scalar arguments, else a complex array of their shape."""
+    """One float for scalar arguments, else a float64 array of their shape."""
     v = v.reshape(shape)
-    return complex(v) if v.ndim == 0 else v.astype(complex)
+    return float(v) if v.ndim == 0 else v
 
 
 # Q gathers about this many k-sum terms at once, to bound a block's memory.
@@ -201,15 +203,16 @@ class KernelTable:
         self.memo["d"] = (b_hi, y_lo, y_hi), diag
         return self.memo["d"]
 
-    def p(self, i, x):
-        """p_i(x) = g(i, x) for broadcast i, x, the k = 0 entry of Q's w-side
-        row A_{i,x}: the integrand w^(i-x) e^(t(w-1)) / ((w-alpha)(w-1)^i) has
-        its contour around 0 (iff x > i), alpha and 1."""
-        v, shape = _ints(i, x)
-        (i_lo, x_lo), (i_hi, _) = v.min(1, initial=0).tolist(), v.max(1, initial=0).tolist()
-        (m_lo, _, lo), rows = self._rows("w", i_lo, i_hi, x_lo)
-        i, x = v
-        return _values(rows[i - m_lo, np.minimum(x - lo, rows.shape[1] - 1)], shape)
+    def read(self, key, m, j, k=0):
+        """(-1)^k g(m, j) of the e = 1 (key "w") or e = 0 ("u") table for
+        broadcast m, j, k: one gather from the rows (_rows).  An e = 0 entry
+        is the integral around all the poles of (w-1)^(-m) e^(t(w-1)) / w^(j-m+1)."""
+        v, shape = _ints(m, j, k)
+        (m_lo, j_lo, _), (m_hi, _, _) = v.min(1, initial=0).tolist(), v.max(1, initial=0).tolist()
+        (m0, _, lo), rows = self._rows(key, m_lo, m_hi, j_lo)
+        m, j, k = v
+        g = rows[m - m0, np.minimum(j - lo, rows.shape[1] - 1)]
+        return _values((1 - 2 * (k & 1)) * g, shape)
 
     def q_kernel(self, a, b, x, y):
         """Q_{a,b}(x,y) for broadcast a, b >= 0, x, y, one block of entries at once.
@@ -259,14 +262,6 @@ class KernelTable:
             )
         return _values((2 * (y & 1) - 1) * (self.params.alpha**2 * total), shape)
 
-    # -- U and the initial-data kernels ----------------------------------------
-
-    def annulus(self, m, j0):
-        """g(m, j0) of the e = 0 table, the integral around all the poles of
-        (w-1)^(-m) e^(t(w-1)) / w^(j0-m+1): U_k and each Xi kernel is one."""
-        (m_lo, _, lo), rows = self._rows("u", m, m, j0)
-        return complex(rows[m - m_lo, min(j0 - lo, rows.shape[1] - 1)])
-
 
 @lru_cache(maxsize=64)
 def table_for(params: ModelParams) -> KernelTable:
@@ -282,8 +277,10 @@ def kernel_Q(a, b, x, y, params):
 
 
 def kernel_p(i, x, params):
-    """p_i(x); i and x broadcast, and arrays give one block call."""
-    return table_for(params).p(i, x)
+    """p_i(x) = g(i, x) (e = 1), the k = 0 entry of Q's w-side row A_{i,x}: the
+    integrand w^(i-x) e^(t(w-1)) / ((w-alpha)(w-1)^i) has its contour around
+    0 (iff x > i), alpha and 1.  i and x broadcast."""
+    return table_for(params).read("w", i, x)
 
 
 def kernel_U(k, z, n_minus_m, params):
@@ -294,24 +291,14 @@ def kernel_U(k, z, n_minus_m, params):
     makes the summation recurrence U_{k+1}(z) = sum_{y>=z} U_k(y) hold
     and the general-initial-data Pfaffians match the Markov oracle.
     With the 1-pole absent and z - k + N - M + 1 <= 0 the kernel is 0.
+    k, z and n_minus_m broadcast.
     """
-    return table_for(params).annulus(k - n_minus_m, z)
+    return table_for(params).read("u", np.subtract(k, n_minus_m), z)
 
 
 # The three Xi kernels below carry (-1)^k: (1-u)^(-m) = (-1)^m (u-1)^(-m),
 # so each is its own sign times the one that turns its (1-u) power into a
-# (u-1) power.  Xi_{N-k} is Xi^(N)_{N-k}, and Xi^[i)_{N-k}(dagger_i) is
-# Xi^(i-1)_{N-k}(1).
-
-
-def kernel_Xi(n, k, y_k, z, params):
-    """Xi_{N-k}(z) = (-1)^k * residue at 0 of (w-1)^(N-k) e^(t(w-1)) / w^(z-y_k+N-k+1).
-
-    For k <= N the origin is the only pole.
-    """
-    if k > n:
-        raise ValueError("Xi_{N-k} needs k <= N")
-    return (-1.0) ** k * table_for(params).annulus(k - n, z - y_k)
+# (u-1) power.  Their arguments broadcast.
 
 
 def kernel_Xi_upper(i, k, y_k, x, params):
@@ -320,16 +307,25 @@ def kernel_Xi_upper(i, k, y_k, x, params):
     (-1)^i times the integral over a contour around both 0 and 1 of
     (1-u)^(i-k) e^(t(u-1)) / u^(x-y_k+i-k+1).
     """
-    return (-1.0) ** k * table_for(params).annulus(k - i, x - y_k)
+    return table_for(params).read("u", np.subtract(k, i), np.subtract(x, y_k), k)
+
+
+def kernel_Xi(n, k, y_k, z, params):
+    """Xi_{N-k}(z) = (-1)^k * residue at 0 of (w-1)^(N-k) e^(t(w-1)) / w^(z-y_k+N-k+1),
+    which is Xi^(N)_{N-k}(z).  For k <= N the origin is the only pole.
+    """
+    if np.any(np.greater(k, n)):
+        raise ValueError("Xi_{N-k} needs k <= N")
+    return kernel_Xi_upper(n, k, y_k, z, params)
 
 
 def kernel_Xi_virtual(i, k, y_k, params):
-    """Xi^[i)_{N-k}(dagger_i): the virtual-coordinate pairing.
+    """Xi^[i)_{N-k}(dagger_i) = Xi^(i-1)_{N-k}(1): the virtual-coordinate pairing.
 
     (-1)^(i+1) times the integral over a contour around both 0 and 1 of
     (1-u)^(i-k-1) e^(t(u-1)) / u^(i-k+1-y_k).
     """
-    return (-1.0) ** k * table_for(params).annulus(k + 1 - i, 1 - y_k)
+    return kernel_Xi_upper(np.subtract(i, 1), k, y_k, 1, params)
 
 
 # -- binomial convolution algebra ---------------------------------------------

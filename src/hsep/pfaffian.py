@@ -37,16 +37,18 @@ _PIVOT_TOL = 1e-13
 
 
 def as_skew(entries):
-    """Validate skew-symmetry of a square complex matrix.
+    """Validate skew-symmetry of a square real or complex matrix.
 
-    Rejects asymmetry beyond 1e-12 relative.  Object-dtype arrays
+    Rejects asymmetry beyond 1e-12 relative.  Real entries stay real
+    (float64) and complex ones complex.  Object-dtype arrays
     (extended-precision entries) pass through uncast, so the factorizations
     below run at the caller's precision.
     """
     if isinstance(entries, np.ndarray) and entries.dtype == object:
         a = entries
     else:
-        a = np.asarray(entries, dtype=complex)
+        a = np.asarray(entries)
+        a = a.astype(complex if a.dtype.kind in "cO" else float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("skew matrix must be square")
     scale = max(np.max(np.abs(a)), 1.0)
@@ -67,9 +69,9 @@ def pfaffian(m):
     a = as_skew(m)
     n = a.shape[0]
     if n == 0:
-        return 1.0 + 0.0j
+        return 1.0
     if n % 2 == 1:
-        return 0.0 + 0.0j
+        return 0.0
     a = a.copy()
     pf = a.flat[0] * 0 + 1.0  # one, at the entry precision
     for k in range(0, n - 1, 2):
@@ -81,7 +83,7 @@ def pfaffian(m):
             pf = -pf
         pivot = a[k + 1, k]
         if pivot == 0:
-            return 0.0 + 0.0j
+            return 0.0
         pf *= a[k, k + 1]
         if k + 2 < n:
             tau = a[k + 2 :, k] / pivot
@@ -116,14 +118,14 @@ def pfaffian_definition(m):
     a = as_skew(m)
     if a.shape[0] > 10:
         raise ValueError("combinatorial definition is for small matrices only")
-    return matching_sum(a) + 0.0j
+    return matching_sum(a)
 
 
 def symplectic_j(n):
     """Block-diagonal J with n/2 blocks [[0,1],[-1,0]] (n even)."""
     if n % 2 != 0:
         raise ValueError("J is even-dimensional")
-    j = np.zeros((n, n), dtype=complex)
+    j = np.zeros((n, n))
     for b in range(0, n, 2):
         j[b, b + 1] = 1.0
         j[b + 1, b] = -1.0
@@ -186,7 +188,7 @@ def skew_borel(m):
 def _pf_sub(m, index_list):
     idx = list(index_list)
     if not idx:
-        return 1.0 + 0.0j
+        return 1.0
     return pfaffian(m[np.ix_(idx, idx)])
 
 

@@ -42,21 +42,17 @@ __all__ = [
     "suggest_z_max",
 ]
 
-_IMAG_TOL = 1e-9
 _PROB_TOL = 1e-9  # how far a probability may round past 0 or 1
 _Z_MAX_TAIL = 1e-13  # Poisson tail mass that suggest_z_max leaves out
 
 
 def _real(value, what="Pfaffian value"):
-    """The real part of a value (or array of values) with a negligible imaginary
-    part; a value that is not finite is refused too."""
-    v = np.asarray(value, dtype=complex)
+    """A real value as a float (an array as a float64 array), refused when it
+    is not finite."""
+    v = np.asarray(value, dtype=float)
     if not np.isfinite(v).all():
         raise ArithmeticError(f"{what} is not finite")
-    bad = np.abs(v.imag) > _IMAG_TOL * np.maximum(1.0, np.abs(v))
-    if bad.any():
-        raise ArithmeticError(f"{what} has imaginary part {v.imag[bad].flat[0]:g}")
-    return v.real if v.ndim else float(v.real)
+    return v if v.ndim else float(v)
 
 
 def _probability(value):
@@ -88,22 +84,23 @@ def _matrix(x, y, params, shift=0):
 
     [Q]_{i,j} = Q_{i+shift, j+shift}(x_{N-i+1}, x_{N-j+1}), and analogously
     for p and U; shift = 0 gives the transition probability, shift = 1 the
-    joint distribution (threshold) variant.  Q's triangle is one block call.
+    joint distribution (threshold) variant.  Q's triangle and the U block
+    are one block call each.
     """
     n, m = len(x), len(y)
     odd = (n + m) % 2
-    mat = np.zeros((n + odd + m, n + odd + m), dtype=complex)
+    mat = np.zeros((n + odd + m, n + odd + m))
     sites = np.array(x[::-1], dtype=int)
     labels = np.arange(1, n + 1) + shift
     i, j = np.tril_indices(n, -1)
     mat[i, j] = kernel_Q(labels[i], labels[j], sites[i], sites[j], params)
     if odd:
         mat[:n, n] = kernel_p(labels, sites, params)
-    for i in range(1, n + 1):
-        for k in range(1, m + 1):
-            mat[i - 1, n + odd + k - 1] = kernel_U(
-                i - k + shift, x[n - i] - y[m - k], n - m, params
-            )
+    # [U]_{i,k} = U_{i-k+shift}(x_{N-i+1} - y_{M-k+1})
+    ys = np.array(y[::-1], dtype=int)
+    mat[:n, n + odd :] = kernel_U(
+        labels[:, None] - np.arange(1, m + 1), sites[:, None] - ys, n - m, params
+    )
     return mat - mat.T
 
 
@@ -281,20 +278,19 @@ def _weights(tops, y, n, params):
     The matrix is the Psi block Q_{1,1}(z_i, z_j), bordered by the Xi columns
     (M > 0) or, for N odd and M = 0, by the p column.  Each entry is an
     R-array: Q is one block call over the distinct (z_i, z_j) pairs of all
-    column pairs, p and Xi are evaluated once per distinct site, and only the
-    upper triangle, the one matching_sum reads, is written.  The matching sum
-    has (d - 1)!! terms, d = N + M (plus 1 for odd N with M = 0), so it suits
-    small d.
+    column pairs, the p or Xi border is one block call over the distinct
+    sites, and only the upper triangle, the one matching_sum reads, is
+    written.  The matching sum has (d - 1)!! terms, d = N + M (plus 1 for odd
+    N with M = 0), so it suits small d.
     """
     r = len(tops)
     sites, at = np.unique(tops, return_inverse=True)
     at = at.reshape(tops.shape)
-    border = [
-        np.array([kernel_Xi(n, k, y[k - 1], z, params) for z in sites.tolist()])
-        for k in range(1, len(y) + 1)
-    ]
-    if not y and n % 2 == 1:
-        border = [kernel_p(1, sites, params)]
+    if y:
+        ks = np.arange(1, len(y) + 1)[:, None]
+        border = list(kernel_Xi(n, ks, np.array(y)[:, None], sites, params))
+    else:
+        border = [kernel_p(1, sites, params)] if n % 2 else []
     dim = n + len(border)
     mat = [[0.0] * dim for _ in range(dim)]
     cols = list(itertools.combinations(range(n), 2))
@@ -306,7 +302,7 @@ def _weights(tops, y, n, params):
     for i in range(n):
         for c, col in enumerate(border, start=n):
             mat[i][c] = col[at[:, i]]
-    return np.broadcast_to(matching_sum(mat), (r,)).astype(complex)
+    return np.broadcast_to(matching_sum(mat), (r,)).astype(float)
 
 
 def gt_pattern_sum(x, y, t, params: ModelParams, z_max=None, cap=10**7):

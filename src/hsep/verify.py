@@ -226,14 +226,11 @@ def _kernel_recurrences():
             nm = int(rng.integers(0, 3))
             k = int(rng.integers(-2, 3))
             lhs = ker.kernel_U(k + 1, s, nm, p) - ker.kernel_U(k + 1, xx, nm, p)
-            rhs = sum(ker.kernel_U(k, v, nm, p) for v in range(s, xx))
+            rhs = sum(ker.kernel_U(k, np.arange(s, xx), nm, p).tolist())
             worst = max(worst, abs(lhs - rhs))
-    anti = 0.0
     p = ModelParams(q=0.0, alpha=0.7, gamma=0.0, t=1.1)
-    for _ in range(200):
-        a, b = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        x, y = int(rng.integers(1, 10)), int(rng.integers(1, 10))
-        anti = max(anti, abs(ker.kernel_Q(a, b, x, y, p) + ker.kernel_Q(b, a, y, x, p)))
+    a, b, x, y = rng.integers([1, 1, 1, 1], [6, 6, 10, 10], size=(200, 4)).T
+    anti = float(np.max(np.abs(ker.kernel_Q(a, b, x, y, p) + ker.kernel_Q(b, a, y, x, p))))
     return [
         ("kernel-finite-recurrences", worst, 1e-11),
         ("q-kernel-antisymmetry", anti, 1e-12),
@@ -278,12 +275,9 @@ def _fullspace_reduction():
         p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=1.0)
         vals.append(tf.tasep_transition_probability(y, x, 1.0, p) * math.exp(alpha))
     p = ModelParams(q=0.0, alpha=0.3, gamma=0.0, t=1.0)
-    det = np.linalg.det(
-        [
-            [complex(ker.kernel_U(i - j, x[3 - i] - y[3 - j], 0, p)).real for j in (1, 2, 3)]
-            for i in (1, 2, 3)
-        ]
-    )
+    # [U]_{i,j} = U_{i-j}(x_{4-i} - y_{4-j}) for i, j = 1..3
+    i = np.arange(1, 4)
+    det = np.linalg.det(ker.kernel_U(i[:, None] - i, np.subtract.outer(x[::-1], y[::-1]), 0, p))
     worst_fd = 0.0
     for alpha in (0.0, 0.5):
         p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=1.0)

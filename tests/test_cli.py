@@ -203,7 +203,7 @@ class TestExitCodes:
     def test_non_finite_value_is_4(self, capsys, monkeypatch):
         import hsep.tasep_formulas
 
-        monkeypatch.setattr(hsep.tasep_formulas, "pfaffian", lambda mat: complex(math.nan, 0.0))
+        monkeypatch.setattr(hsep.tasep_formulas, "pfaffian", lambda mat: math.nan)
         rc = main(["tasep-prob", "--x", "3,1", "--t", "1", "--alpha", "0.5"])
         assert rc == 4
         assert "not finite" in capsys.readouterr().err

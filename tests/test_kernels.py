@@ -136,8 +136,28 @@ class TestQKernel:
         assert abs(v1 + v2) < 1e-75
 
     def test_real_parameters_give_real_values(self):
-        assert kernel_Q(2, 3, 4, 1, P).imag == 0.0
-        assert kernel_p(3, 4, P).imag == 0.0
+        # a float for scalar arguments, a float64 array for a block
+        scalars = (
+            kernel_Q(2, 3, 4, 1, P),
+            kernel_p(3, 4, P),
+            kernel_U(1, 4, 0, P),
+            kernel_Xi(2, 1, 3, 4, P),
+            kernel_Xi_upper(1, 2, 3, 4, P),
+            kernel_Xi_virtual(2, 1, 3, P),
+        )
+        for v in scalars:
+            assert type(v) is float, type(v)
+        sites = np.arange(1, 6)
+        blocks = (
+            kernel_Q(2, 3, sites, 1, P),
+            kernel_p(3, sites, P),
+            kernel_U(1, sites, 0, P),
+            kernel_Xi(2, 1, 3, sites, P),
+            kernel_Xi_upper(1, 2, 3, sites, P),
+            kernel_Xi_virtual(2, 1, sites, P),
+        )
+        for v in blocks:
+            assert v.dtype == np.float64 and v.shape == (5,)
 
 
 class TestPKernel:
@@ -347,8 +367,19 @@ class TestMemoReproducibility:
         assert abs(first - fresh) < 1e-12
 
 
+def _block_is_scalar(f, axes, p):
+    """f on the grid of axes, checked entry by entry against its scalar calls."""
+    grid = np.meshgrid(*axes, indexing="ij")
+    block = f(*grid, p)
+    assert block.shape == grid[0].shape and block.dtype == np.float64
+    for at in np.ndindex(block.shape):
+        args = tuple(int(g[at]) for g in grid)
+        assert block[at] == f(*args, p), (f.__name__, args)
+    return grid, block
+
+
 class TestBlockEvaluation:
-    """kernel_Q and kernel_p take arrays: an assembly asks for a block at once."""
+    """Every kernel takes arrays: an assembly asks for a block at once."""
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
     @pytest.mark.parametrize("t", [0.4, 2.9, 10.0])
@@ -356,7 +387,7 @@ class TestBlockEvaluation:
         p = ModelParams(alpha=alpha, t=t)
         grid = np.meshgrid(*(np.arange(1, n + 1) for n in (5, 5, 40, 40)), indexing="ij")
         block = kernel_Q(*grid, p)
-        assert block.shape == grid[0].shape and block.dtype == complex
+        assert block.shape == grid[0].shape and block.dtype == np.float64
         rng = np.random.default_rng(round(10 * alpha + t))
         for k, at in enumerate(zip(*(rng.integers(0, n, 40) for n in block.shape))):
             a, b, x, y = (int(g[at]) for g in grid)
@@ -365,6 +396,18 @@ class TestBlockEvaluation:
             if k < 5:
                 q = kernel_Q_quadrature(a, b, x, y, p, nodes=320, radii=_tight_radii)
                 assert abs(v - q) <= 1e-9 * max(1.0, abs(q)), (a, b, x, y)
+        # U and the Xi kernels read the e = 0 rows in one gather: every block
+        # entry is its scalar call, over sites below 1 and over m = k - (N - M)
+        # and k - i below 0 (the forward differences)
+        _block_is_scalar(kernel_U, (np.arange(-3, 5), np.arange(-4, 14), np.arange(3)), p)
+        axes = (np.arange(-1, 5), np.arange(1, 4), np.array([3, 9]), np.arange(-3, 13))
+        _block_is_scalar(kernel_Xi_upper, axes, p)
+        axes = (np.array([3, 4]), np.arange(1, 4), np.array([2, 8]), np.arange(-3, 13))
+        (n, k, yk, z), xi = _block_is_scalar(kernel_Xi, axes, p)
+        assert np.array_equal(xi, kernel_Xi_upper(n, k, yk, z, p))
+        axes = (np.arange(1, 6), np.arange(1, 5), np.arange(1, 11))
+        (i, k, yk), virtual = _block_is_scalar(kernel_Xi_virtual, axes, p)
+        assert np.array_equal(virtual, kernel_Xi_upper(i - 1, k, yk, 1, p))
 
     def test_rows_beyond_the_support(self):
         # the Poisson weights end at j = 151 for t = 0.4 and at j = 1 for
@@ -392,13 +435,26 @@ class TestBlockEvaluation:
             assert abs(v - kernel_Q_quadrature(*e, p)) < 1e-10
 
     def test_shapes(self):
-        assert isinstance(kernel_Q(1, 2, 3, 4, P), complex)
-        assert isinstance(kernel_p(1, 3, P), complex)
-        assert kernel_Q(1, 2, np.arange(1, 4)[:, None], np.arange(1, 5), P).shape == (3, 4)
+        assert isinstance(kernel_Q(1, 2, 3, 4, P), float)
+        assert isinstance(kernel_p(1, 3, P), float)
+        assert isinstance(kernel_U(1, 3, 0, P), float)
+        assert isinstance(kernel_Xi(2, 1, 3, 4, P), float)
+        assert isinstance(kernel_Xi_upper(1, 1, 3, 4, P), float)
+        assert isinstance(kernel_Xi_virtual(2, 1, 3, P), float)
+        col, row = np.arange(1, 4)[:, None], np.arange(1, 5)
+        assert kernel_Q(1, 2, col, row, P).shape == (3, 4)
         assert kernel_p([1, 2], 3, P).shape == (2,)
+        assert kernel_U(col, row, 0, P).shape == (3, 4)
+        assert kernel_Xi(3, col, 5, row, P).shape == (3, 4)
+        assert kernel_Xi_upper(col, 2, [5, 6, 7, 8], 4, P).shape == (3, 4)
+        assert kernel_Xi_virtual(row, col, 6, P).shape == (3, 4)
         empty = np.zeros(0, dtype=int)
         assert kernel_Q(1, 1, empty, empty, P).shape == (0,)
         assert kernel_p(1, empty, P).shape == (0,)
+        assert kernel_U(1, empty, 0, P).shape == (0,)
+        assert kernel_Xi(2, 1, 3, empty, P).shape == (0,)
+        assert kernel_Xi_upper(1, 1, 3, empty, P).shape == (0,)
+        assert kernel_Xi_virtual(empty, 1, 3, P).shape == (0,)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5])
     def test_p_is_the_k0_entry_of_the_w_side_row(self, alpha):

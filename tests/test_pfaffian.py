@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -100,6 +101,27 @@ class TestPfaffian:
         b[:, [1, 6]] = b[:, [6, 1]]
         assert abs(pfaffian(b) + pfaffian(a)) < 1e-12
 
+    def test_real_input_stays_real(self):
+        rng = np.random.default_rng(13)
+        for n in range(2, 17, 2):
+            a = random_skew(rng, n, complex_entries=False)
+            pf = pfaffian(a)
+            assert isinstance(pf, float)
+            assert as_skew(a).dtype == np.float64
+            ref = pfaffian(a.astype(complex))
+            assert abs(pf - ref) <= 1e-14 * abs(ref), n
+
+    def test_extended_precision_passes_through(self):
+        with mp.workdps(40):
+            rng = np.random.default_rng(14)
+            a = random_skew(rng, 4, complex_entries=False)
+            a = np.array([[mp.mpf(v) for v in row] for row in a.tolist()], dtype=object)
+            assert as_skew(a) is a
+            pf = pfaffian(a)
+            assert isinstance(pf, mp.mpf)
+            expect = a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2]
+            assert abs(pf - expect) < mp.mpf(10) ** -35
+
     def test_rejects_non_skew(self):
         with pytest.raises(ValueError):
             pfaffian([[0.0, 1.0], [1.0, 0.0]])
@@ -124,10 +146,12 @@ class TestSkewBorel:
         assert np.max(np.abs(fac.r - np.eye(6))) < 1e-14
 
     def test_reconstruction_random(self):
+        # complex matrices, then a real one, whose factor stays real
         rng = np.random.default_rng(6)
-        for n in (4, 6, 10):
-            a = random_skew(rng, n)
+        for n, complex_entries in ((4, True), (6, True), (10, True), (8, False)):
+            a = random_skew(rng, n, complex_entries)
             fac = skew_borel(a)
+            assert fac.r.dtype == a.dtype
             assert np.max(np.abs(fac.reconstruct() - a)) < 1e-10
             assert np.max(np.abs(np.tril(fac.r, -1))) == 0.0
             for b in range(n // 2):

@@ -48,7 +48,7 @@ class TestTransitionProbability:
         for x in ((12, 1), (12, 2, 1), (9, 7, 5, 3)):
             n = len(x)
             pre = (-1.0) ** math.comb(n, 2) * math.exp(-0.25) * (0.5 if n % 2 else 1.0)
-            expect = pre * pfaffian_definition(_matrix(x, (), p)).real
+            expect = pre * pfaffian_definition(_matrix(x, (), p))
             assert expect > 0.0
             v = tasep_transition_probability((), x, 0.5, p)
             assert abs(v - expect) <= 1e-12 * expect
@@ -82,10 +82,10 @@ class TestTransitionProbability:
                 assert math.isfinite(f) and abs(f - dist.probability(x)) < 1e-12, x
 
     @pytest.mark.parametrize(
-        "value", [complex(math.nan, 0.0), complex(math.inf, 0.0), np.array([0.25, math.nan])]
+        "value", [math.nan, math.inf, np.array([0.25, math.nan])]
     )
     def test_non_finite_value_refused(self, value):
-        # abs(nan) > tol is False: the imaginary-part check alone would pass NaN
+        # NaN fails every comparison, so a bound alone would not refuse it
         with pytest.raises(ArithmeticError, match="not finite"):
             _real(value)
 
@@ -93,8 +93,8 @@ class TestTransitionProbability:
     def test_probability_outside_unit_interval_refused(self, value):
         # what the alternating k-sum of Q returns once it has lost all accuracy
         with pytest.raises(ArithmeticError, match="outside"):
-            _probability(complex(value, 0.0))
-        assert _probability(complex(-1e-12, 0.0)) == -1e-12
+            _probability(value)
+        assert _probability(-1e-12) == -1e-12
 
     def test_validity_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -122,13 +122,7 @@ class TestTransitionProbability:
             )
         assert abs(vals[0] - vals[1]) < 1e-12
         det = np.linalg.det(
-            [
-                [
-                    complex(kernel_U(i - j, x[3 - i] - y[3 - j], 0, P)).real
-                    for j in (1, 2, 3)
-                ]
-                for i in (1, 2, 3)
-            ]
+            [[kernel_U(i - j, x[3 - i] - y[3 - j], 0, P) for j in (1, 2, 3)] for i in (1, 2, 3)]
         )
         assert abs(vals[0] - det) < 1e-12
 
@@ -177,12 +171,12 @@ def per_pattern_sum(x, y, t, params, z_max):
         mat = np.zeros((d, d))
         for i in range(n):
             for j in range(i + 1, n):
-                mat[i, j] = kernel_Q(1, 1, z[i], z[j], params).real
+                mat[i, j] = kernel_Q(1, 1, z[i], z[j], params)
             for k in range(m):
-                mat[i, n + k] = kernel_Xi(n, k + 1, y[k], z[i], params).real
+                mat[i, n + k] = kernel_Xi(n, k + 1, y[k], z[i], params)
             if d > n + m:
-                mat[i, n] = kernel_p(1, z[i], params).real
-        total += pfaffian_definition(mat - mat.T).real
+                mat[i, n] = kernel_p(1, z[i], params)
+        total += pfaffian_definition(mat - mat.T)
     sign = (-1.0) ** (math.comb(n, 2) + m) * math.exp(-params.alpha * t)
     return sign * total * (params.alpha if (n + m) % 2 else 1.0)
 
@@ -297,7 +291,7 @@ class TestWMeasure:
 
         rows = [(3,), (1, 5)]
         v = w_measure(rows, (), 2, P)
-        psi = np.zeros((2, 2), dtype=complex)
+        psi = np.zeros((2, 2))
         psi[0, 1] = kernel_Q(1, 1, 1, 5, P)
         psi[1, 0] = -psi[0, 1]
         expected = (-1) ** math.comb(2, 2) * pfaffian(psi)
