@@ -8,11 +8,16 @@ F as signed products of pair and single factors (_terms: the partial
 symmetrization at q > 0, the Stembridge block Pfaffian at q = 0) and sums
 them with one pairwise contraction against the x powers (_contract), which
 beyond N = 2 never forms the (nodes,)^N grid; eval_F_alternative and
-eval_F_pfaffian_limit are one-point contractions.  asep_transition_batch integrates the multiple
-contour integrand on validated nested circles by trapezoid quadrature, one
-contraction for every target x; node doubling and the q -> 0 Richardson legs
-share one evaluation path and one gate on the imaginary residual.  The
-supporting identities (eigenvector relation, symmetrization factorization,
+eval_F_pfaffian_limit are one-point contractions.  The scattering factor
+S(a, b) = (a - q b)(1 - a b)/((a - b)(1 - q a b)) obeys S(a, 1/(q b)) =
+S(a, b), so a flip w -> 1/(q w) changes only the factors of its own
+position; in the last two positions these are one pair or single array,
+and _terms sums both flips into it (half the terms at N = 3, M = 2).
+asep_transition_batch integrates the multiple contour integrand on
+validated nested circles by trapezoid quadrature, one contraction for every
+target x; node doubling and the q -> 0 Richardson legs share one evaluation
+path and one gate on the imaginary residual.  The supporting identities
+(eigenvector relation, symmetrization factorization, the reflection of S,
 the t = 0 orthogonality, the vanishing permutation sum) are numerical tests.
 """
 
@@ -141,9 +146,11 @@ def eval_F(y, w, params: ModelParams):
 
 
 def eval_F_alternative(y, w, params: ModelParams):
-    """The partial-symmetrization form: sum over M-subsets and B_M only.
+    """The partial-symmetrization form: sum over M-subsets and B_M only, with
+    the flips of the last two positions folded (S(a, 1/(q b)) = S(a, b)).
 
-    A one-point contraction of the terms that the quadrature sums.
+    A one-point contraction of the terms that the quadrature sums, so that
+    the comparison with eval_F checks the fold.
     """
     y = as_config(y)
     w = [complex(v) for v in w]
@@ -212,8 +219,17 @@ def _terms(y, nodes, params):
     Yields (coef, pairs, singles), pairs mapping a < b to a (len(nodes[a]),
     len(nodes[b])) array and singles d to a len(nodes[d]) array; F at grid
     point k is the sum of coef * prod pairs[a, b][k_a, k_b] * prod
-    singles[d][k_d].  The terms of the partial symmetrization at q > 0, of
-    the Stembridge block Pfaffian at q = 0 (y separated).
+    singles[d][k_d].  At q = 0 (y separated) the terms of the Stembridge
+    block Pfaffian.  At q > 0 the partial symmetrization over M-subsets,
+    their orders and the flips w -> 1/(q w) of the moved variables, folded:
+    since S(a, 1/(q b)) = S(a, b) for the scattering factor S = _cross, the
+    factors a flip changes are those of its own position, and in the last
+    two positions these form one pair or one single array, into which both
+    flips are summed.  So a term is an (M-subset, order, flips of the
+    positions before N - 2): 12 terms instead of 24 at (N, M) = (3, 2), 96
+    instead of 384 at (4, 4).  Each term's own arrays are released before
+    the next is built; the S arrays of unfolded positions are kept for the
+    call.
     """
     y = as_config(y)
     n, m = len(nodes), len(y)
@@ -236,18 +252,61 @@ def _terms(y, nodes, params):
             singles = {d: g[d][k] for k, d in enumerate(sigma[ones:])}
             yield base * _parity(rest + list(sigma)) * coef, pairs, singles
         return
+    # a pair factor S(v_p, v_e) depends only on the flip of the earlier position
+    # p, so a later variable enters unflipped: S(v_p, w_e)
     signed = [(w, 1.0 / (q * w)) for w in nodes]  # w and 1/(q w)
+    fold = max(n - 2, 0)  # moved positions from here on have their flips summed
+    memo = {}  # the S arrays of unfolded positions, kept for the call
+
+    def lay(d, e):
+        """Indices that put d's and e's nodes on the axes (min(d, e), max(d, e))."""
+        row, col = (slice(None), None), (None, slice(None))
+        return (row, col) if d < e else (col, row)
+
+    def cross(d, s, e):
+        """S(signed[d][s], nodes[e]), laid out over (min(d, e), max(d, e))."""
+        f = memo.get((d, s, e))
+        if f is None:
+            ld, le = lay(d, e)
+            f = _cross(signed[d][s][ld], nodes[e][le], q)
+            if m > 1:  # with one moved variable no S array recurs
+                memo[d, s, e] = f
+        return f
+
+    def folded(d, e, yp):
+        """sum over both flips v of d of S(v, nodes[e]) phi_yp(v), laid out as cross."""
+        ld, le = lay(d, e)
+        f = None
+        for v in signed[d]:
+            g = _cross(v[ld], nodes[e][le], q)
+            g *= _phi_y(v, yp, q, alpha)[ld]
+            if f is None:
+                f = g
+            else:
+                f += g
+        return f
+
     for tset in combinations(range(n), m):
-        rest = [(d, nodes[d]) for d in range(n) if d not in tset]
-        for perm, signs in signed_permutations(m):
-            moved = [(tset[p - 1], signed[tset[p - 1]][s < 0]) for p, s in zip(perm, signs)]
-            pairs = {}
-            for i, (d1, v1) in enumerate(moved):
-                for d2, v2 in moved[i + 1 :] + rest:
-                    cross = _cross(v1[:, None], v2, q) if d1 < d2 else _cross(v1, v2[:, None], q)
-                    pairs[min(d1, d2), max(d1, d2)] = cross
-            singles = {d: _phi_y(v, yi, q, alpha) for (d, v), yi in zip(moved, y)}
-            yield coef, pairs, singles
+        rest = [d for d in range(n) if d not in tset]
+        for perm in permutations(tset):
+            order = list(perm) + rest
+            fpairs, fsingles = {}, {}  # releases the previous order's arrays first
+            for p in range(fold, m):
+                d = order[p]
+                if p < n - 1:
+                    e = order[p + 1]
+                    fpairs[min(d, e), max(d, e)] = folded(d, e, y[p])
+                else:
+                    fsingles[d] = sum(_phi_y(v, y[p], q, alpha) for v in signed[d])
+            for flips in product((0, 1), repeat=min(fold, m)):
+                pairs, singles = dict(fpairs), dict(fsingles)
+                for p, s in enumerate(flips):
+                    d = order[p]
+                    for e in order[p + 1 :]:
+                        pairs[min(d, e), max(d, e)] = cross(d, s, e)
+                    singles[d] = _phi_y(signed[d][s], y[p], q, alpha)
+                yield coef, pairs, singles
+                del pairs, singles
 
 
 def _lay(f, axes, ndim):
@@ -293,18 +352,20 @@ def _contract(terms, pairs, singles, rows):
                 grid *= _lay(f, (d,), g)
         if g == n:
             total += grid
-            continue
-        left[...] = rows[a] * tsingles.get(a, 1.0)
-        for i in range(g):
-            left *= _lay(pairs.get((i, a), 1.0) * tpairs.get((i, a), 1.0), (i, g + 1), n)
-        # one BLAS product each over k_a and k_b (np.dot on an N-d array is not)
-        ab = shared_ab * tpairs.get((a, b), 1.0)
-        np.matmul(left.reshape(-1, size[a]), ab, out=right.reshape(-1, size[b]))
-        for i in range(g):
-            right *= _lay(pairs.get((i, b), 1.0) * tpairs.get((i, b), 1.0), (i, g + 1), n)
-        right *= tsingles.get(b, 1.0)
-        vv = right.reshape(-1, size[b]) @ rows[b].T
-        total += vv.reshape(total.shape) * _lay(grid, range(g), n)
+        else:
+            left[...] = rows[a] * tsingles.get(a, 1.0)
+            for i in range(g):
+                left *= _lay(pairs.get((i, a), 1.0) * tpairs.get((i, a), 1.0), (i, g + 1), n)
+            # one BLAS product each over k_a and k_b (np.dot on an N-d array is not)
+            ab = shared_ab * tpairs.get((a, b), 1.0)
+            np.matmul(left.reshape(-1, size[a]), ab, out=right.reshape(-1, size[b]))
+            for i in range(g):
+                right *= _lay(pairs.get((i, b), 1.0) * tpairs.get((i, b), 1.0), (i, g + 1), n)
+            right *= tsingles.get(b, 1.0)
+            vv = right.reshape(-1, size[b]) @ rows[b].T
+            total += vv.reshape(total.shape) * _lay(grid, range(g), n)
+            del ab, vv
+        del tpairs, tsingles  # before the next term is built
     shared = 1.0
     for i, j in combinations(range(g), 2):
         shared = shared * _lay(pairs.get((i, j), 1.0), (i, j), n)

@@ -96,9 +96,10 @@ def _cmd_asep_prob(args):
     params.require_exact()
     x = _parse_config(args.x)
     y = _parse_config(args.y)
-    value = ai.asep_transition_probability(
-        y, x, args.t, params, tol=args.tol, nodes=args.nodes
+    vals, diag = ai.asep_transition_batch(
+        y, len(x), [x], args.t, params, nodes=args.nodes, tol=args.tol
     )
+    value = vals[tuple(x)]
     payload = {
         "command": "asep-prob",
         "q": params.q,
@@ -108,6 +109,9 @@ def _cmd_asep_prob(args):
         "x": list(x),
         "value": value,
         "tol": args.tol,
+        # nodes and max_imag; last_delta after node doubling, or
+        # q_extrapolated on the q -> 0 Richardson path (no error estimate)
+        "diagnostics": diag,
     }
     _emit_with_oracle(
         args, payload, lambda: orc.transition_probability_exact(y, x, args.t, params, args.s_max)

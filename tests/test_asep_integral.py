@@ -9,6 +9,8 @@ import pytest
 from hsep.asep_integral import (
     V_constant,
     _contract,
+    _cross,
+    _terms,
     asep_transition_batch,
     asep_transition_probability,
     bc_symmetrization_sum,
@@ -77,14 +79,30 @@ class TestEvalF:
 
     def test_alternative_formula(self):
         rng = np.random.default_rng(3)
-        # every (N, M) with M >= 1 that the quadrature runs, N <= 3, and N = 4
+        # every (N, M) with M >= 1 that the quadrature runs, N <= 3, and N = 4;
+        # q = 0.015 and 0.06 are Richardson legs, where the two flips of a
+        # folded factor differ in size by about 1/q
         cases = (((2,), 1), ((3,), 2), ((3, 1), 2), ((4,), 3), ((4, 2), 3),
-                 ((5, 3), 3), ((5, 3, 1), 3), ((5, 3), 4), ((5, 3, 1), 4))
-        for (y, n) in cases:
-            w = alphabet(rng, n)
-            a = eval_F(y, w, P)
-            b = eval_F_alternative(y, w, P)
-            assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+                 ((5, 3), 3), ((5, 3, 1), 3), ((5, 3), 4), ((5, 3, 1), 4),
+                 ((5, 3, 2, 1), 4))
+        for q in (P.q, 0.015, 0.06):
+            params = ModelParams(q=q, alpha=P.alpha, gamma=0.0, t=P.t)
+            for (y, n) in cases:
+                w = alphabet(rng, n)
+                a = eval_F(y, w, params)
+                b = eval_F_alternative(y, w, params)
+                assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
+
+    def test_folded_term_counts(self):
+        # the flips of the last two positions are summed inside one factor:
+        # C(N, M) M! 2^min(M, N - 2) terms instead of C(N, M) M! 2^M
+        counts = {(1, 1): 1, (2, 1): 2, (2, 2): 2, (3, 1): 6, (3, 2): 12,
+                  (3, 3): 12, (4, 2): 48, (4, 3): 96, (4, 4): 96}
+        rng = np.random.default_rng(10)
+        for (n, m), count in counts.items():
+            nodes = [alphabet(rng, 2) for _ in range(n)]
+            y = tuple(range(2 * m, 0, -2))
+            assert len(list(_terms(y, nodes, P))) == count
 
     def test_bounded_near_removable_locus(self):
         # w_i -> w_j: the symmetrized function stays bounded as the distance
@@ -125,8 +143,6 @@ class TestSymmetrizationIdentities:
                 assert abs(s - 1.0 / V_constant(n, q)) < 1e-9 * abs(s)
 
     def test_partial_factorization(self):
-        from hsep.asep_integral import _cross
-
         rng = np.random.default_rng(7)
         q = 0.35
         for (n, m) in ((3, 1), (4, 2), (4, 1)):
@@ -137,6 +153,14 @@ class TestSymmetrizationIdentities:
                 for j in range(i + 1, n):
                     expected *= _cross(w[i], w[j], q)
             assert abs(s - expected) < 1e-9 * abs(expected)
+
+    def test_reflection_identity(self):
+        # S(a, 1/(q b)) = S(a, b), on which _terms folds the flip sums
+        rng = np.random.default_rng(11)
+        for q in (0.015, 0.3, 0.7):
+            a, b = alphabet(rng, 50), alphabet(rng, 50)
+            lhs, rhs = _cross(a, 1.0 / (q * b), q), _cross(a, b, q)
+            assert np.all(np.abs(lhs - rhs) <= 1e-13 * np.abs(rhs))
 
 
 class TestEigenvector:

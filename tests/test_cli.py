@@ -56,6 +56,25 @@ class TestSubcommands:
         assert rc == 0
         payload = json.loads(out)
         assert 0.0 <= payload["value"] <= 1.0
+        diag = payload["diagnostics"]
+        assert diag["nodes"] >= 48 and diag["max_imag"] < 1e-9
+        assert 0.0 <= diag["last_delta"] <= 1e-7 and "q_extrapolated" not in diag
+
+    def test_asep_prob_richardson_diagnostics(self, capsys):
+        # q = 0 with y = (2, 1) not separated: the Richardson path, no delta
+        rc, out = run_cli(
+            [
+                "asep-prob", "--x", "3,1", "--y", "2,1", "--q", "0",
+                "--alpha", "0.6", "--t", "0.4", "--format", "csv",
+            ],
+            capsys,
+        )
+        assert rc == 0
+        head, row = (line.split(",") for line in out.strip().splitlines())
+        diag = dict(zip(head, row))
+        assert diag["diagnostics.q_extrapolated"] == "True"
+        assert diag["diagnostics.nodes"] == "96"
+        assert "diagnostics.last_delta" not in diag
 
     def test_joint_and_current(self, capsys):
         rc, out = run_cli(
