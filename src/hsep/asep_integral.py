@@ -387,35 +387,16 @@ def _at_point(y, w, params):
 def _integrand_core(y, n, params, fam: NestedContourFamily, nodes, sites):
     """The arguments of _contract on the nodes: the terms of F, the inverted
     cross factor, the per-variable factor times the trapezoid weight, and
-    per variable d the x powers for each value in sites[d]."""
+    per variable d the x powers for each value in sites[d].  On validated
+    radii the nodes avoid every pole: |w_i - w_j| >= r_j - r_i, and the
+    q-image, inverse-image and 1/C_i groups keep q w_j - w_i, 1 - q w_i w_j
+    and 1 - w_i w_j off 0."""
     q, alpha, t = params.q, params.alpha, params.t
     node_arrays = []
     for d in range(n):
         r = fam.radii[d]
         theta = 2.0 * np.pi * (np.arange(nodes) + 0.5 * (d % 2)) / nodes
         node_arrays.append(1.0 + r * np.exp(1j * theta))
-    # removable-singularity safety: rotate everything by a half step if any
-    # cross-dimension node pair gets too close (cannot happen with strictly
-    # increasing radii, but cheap to certify).
-    for _ in range(2):
-        bad = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = np.abs(node_arrays[i][:, None] - node_arrays[j][None, :])
-                if d.min() < 1e-6:
-                    bad = True
-                if q > 0:
-                    c = np.abs(
-                        1.0 - q * node_arrays[i][:, None] * node_arrays[j][None, :]
-                    )
-                    if c.min() < 1e-6:
-                        bad = True
-        if not bad:
-            break
-        node_arrays = [
-            1.0 + (v - 1.0) * np.exp(1j * np.pi / (2 * nodes)) for v in node_arrays
-        ]
-
     # inverted cross factor
     pairs = {}
     for i, j in combinations(range(n), 2):

@@ -5,6 +5,13 @@ ways: exactly, by expanding the integrand as a jet around each enclosed pole
 and reading off the coefficient of (z - pole)^(-1), or numerically, by
 trapezoid quadrature on circles (spectrally accurate for analytic integrands).
 The two paths are kept independent so each can serve as the other's oracle.
+
+The finite-q integral runs over nested circles C_i: |w - 1| = r_i, with
+r_1 < ... < r_N.  Moebius maps send circles to circles, so each of its four
+constraint groups compares one point with a radius: C_i excludes 0, 1/q and
+(q + alpha - 1)/alpha; q*C_j, nearest 1 at q(1 + r_j), stays outside C_i for
+i <= j; 1/(q*C_l), nearest 1 at 1/(q(1 + r_l)), stays outside every C_k; and
+C_j encloses 1/C_i, farthest from 1 at r_i/(1 - r_i), for i < j.
 """
 
 from __future__ import annotations
@@ -349,12 +356,11 @@ class ContourValidationError(ValueError):
 
 @dataclass(frozen=True)
 class NestedContourFamily:
-    """Circles about 1 with strictly increasing radii, nested per the model.
-
-    Circle i must enclose 1 and exclude 0, 1/q and (1-q-alpha)/alpha; for
-    i < j circle i sits strictly inside circle j while q*(circle j) stays
-    outside circle i; and every circle stays clear of the reciprocal images
-    (q * circle_l)^(-1).  Use validate_nested_contours to build one.
+    """Circles C_i: |w - 1| = r_i, r_1 < ... < r_N, obeying the four groups:
+    C_i excludes 0, 1/q and (q + alpha - 1)/alpha; q*C_j, nearest 1 at
+    q(1 + r_j), stays outside C_i for i <= j; 1/(q*C_l), nearest 1 at
+    1/(q(1 + r_l)), stays outside every C_k; and C_j encloses 1/C_i, farthest
+    from 1 at r_i/(1 - r_i), for i < j.  Use validate_nested_contours to build one.
     """
 
     q: float
@@ -366,62 +372,64 @@ class NestedContourFamily:
         return len(self.radii)
 
 
-def validate_nested_contours(q, alpha, radii):
-    """Check the three constraint groups numerically; return the family.
-
-    Raises ContourValidationError listing every violated constraint by name:
-    encloses-forbidden-point, q-image-overlap, inverse-image-overlap.
-    """
+def _forbidden_points(q, alpha):
+    """0, 1/q (at q > 0) and the pole of the per-variable factor (at alpha > 0)."""
     if not 0.0 <= q < 1.0:
         raise ValueError("q must lie in [0, 1)")
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
-    radii = tuple(float(r) for r in radii)
-    if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
-
-    violations = []
-    forbidden = [0.0 + 0.0j]
+    points = [0.0]
     if q > 0.0:
-        forbidden.append(1.0 / q + 0.0j)
+        points.append(1.0 / q)
     if alpha > 0.0:
         # where the per-variable factor 1/(q+alpha-1-alpha*w) blows up; the
         # conventional exclusion point (1-q-alpha)/alpha is its mirror and
         # binds nothing when the two differ (checked against the exact
         # Markov oracle), so only the genuine pole is enforced
-        forbidden.append((q + alpha - 1.0) / alpha + 0.0j)
+        points.append((q + alpha - 1.0) / alpha)
+    return points
+
+
+def _violations(q, alpha, radii):
+    """The violated constraints of the family, named as in validate_nested_contours."""
+    points = _forbidden_points(q, alpha)
+    out = []
     for i, r in enumerate(radii):
-        for p in forbidden:
+        for p in points:
             if abs(p - 1.0) <= r:
-                violations.append(
-                    f"encloses-forbidden-point: circle {i + 1} (radius {r:g}) "
-                    f"encloses {p.real:g}{p.imag:+g}j"
-                )
-
+                out.append(f"encloses-forbidden-point: circle {i + 1} (radius {r:g}) encloses {p:g}")
     if q > 0.0:
-        theta = 2.0 * np.pi * np.arange(720) / 720
-        unit = np.exp(1j * theta)
         for j, rj in enumerate(radii):
-            image = q * (1.0 + rj * unit)
             for i, ri in enumerate(radii[: j + 1]):
-                # q * C_j must keep outside C_i for every i <= j (i = j
-                # follows from i < j since C_i is inside C_j).
-                if np.min(np.abs(image - 1.0)) <= ri:
-                    violations.append(
-                        f"q-image-overlap: q*circle {j + 1} meets circle {i + 1}"
-                    )
+                if abs(q * (1.0 + rj) - 1.0) <= ri:
+                    out.append(f"q-image-overlap: q*circle {j + 1} meets circle {i + 1}")
         for el, rl in enumerate(radii):
-            inv_image = 1.0 / (q * (1.0 + rl * unit))
-            dist = np.abs(inv_image - 1.0)
             for k, rk in enumerate(radii):
-                if np.min(dist) <= rk:
-                    violations.append(
-                        f"inverse-image-overlap: (q*circle {el + 1})^-1 meets "
-                        f"circle {k + 1}"
-                    )
+                if abs(1.0 / (q * (1.0 + rl)) - 1.0) <= rk:
+                    out.append(f"inverse-image-overlap: (q*circle {el + 1})^-1 meets circle {k + 1}")
+    for j, rj in enumerate(radii):
+        for i, ri in enumerate(radii[:j]):
+            if rj * abs(1.0 - ri) <= ri:  # r_j <= r_i/|1 - r_i|, exact past r_i = 1 too
+                out.append(f"inverse-circle-overlap: 1/circle {i + 1} meets circle {j + 1}")
+    return out
 
+
+def validate_nested_contours(q, alpha, radii):
+    """Check the four constraint groups of NestedContourFamily; return the family.
+
+    Raises ContourValidationError listing every violated constraint by name:
+    encloses-forbidden-point (|p - 1| <= r_i for a forbidden p),
+    q-image-overlap (|q(1 + r_j) - 1| <= r_i, i <= j), inverse-image-overlap
+    (|1/(q(1 + r_l)) - 1| <= r_k) and inverse-circle-overlap
+    (r_j <= r_i/(1 - r_i), i < j).  The forms need only r < 1: a radius of
+    1 or more encloses 0.
+    """
+    radii = tuple(float(r) for r in radii)
+    if any(r <= 0 for r in radii):
+        raise ValueError("radii must be positive")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly increasing")
+    violations = _violations(q, alpha, radii)
     if violations:
         raise ContourValidationError(violations)
     return NestedContourFamily(q=q, alpha=alpha, radii=radii)
@@ -435,14 +443,8 @@ def default_nested_contours(q, alpha, n):
     validates with a safety margin to every forbidden point is preferred;
     at large q the nesting constraints force the radii small again.
     """
-    forbidden = [0.0 + 0.0j]
-    if q > 0.0:
-        forbidden.append(1.0 / q + 0.0j)
-    if alpha > 0.0:
-        forbidden.append((q + alpha - 1.0) / alpha + 0.0j)
-    dmin = min(abs(p - 1.0) for p in forbidden)
-    r_hi = 0.55 * dmin
-    last_error = None
+    r_hi = 0.55 * min(abs(p - 1.0) for p in _forbidden_points(q, alpha))
+    violations = [f"no valid nested family found for q={q}, alpha={alpha}, n={n}"]
     # prefer the largest inner radius the window allows: the exponential
     # factor has amplitude ~ e^(t/r_1) on the innermost circle and the
     # initial-data poles contribute (1-w)^(-y) there, so small circles cost
@@ -456,15 +458,8 @@ def default_nested_contours(q, alpha, n):
             grow = 1.0
             if r1 > r_hi:
                 continue
-        radii = [r1 * grow**i for i in range(n)]
-        try:
-            return validate_nested_contours(q, alpha, radii)
-        except ContourValidationError as exc:
-            # without its traceback: that would hold this frame and the
-            # caller's, and their arrays, until the cycle collector runs
-            last_error = exc.with_traceback(None)
-    if last_error is not None:
-        raise last_error
-    raise ContourValidationError(
-        [f"no valid nested family found for q={q}, alpha={alpha}, n={n}"]
-    )
+        radii = tuple(r1 * grow**i for i in range(n))
+        violations = _violations(q, alpha, radii)
+        if not violations:
+            return NestedContourFamily(q=q, alpha=alpha, radii=radii)
+    raise ContourValidationError(violations)

@@ -222,8 +222,9 @@ class TestTransitionQuadrature:
         assert v == pytest.approx(0.2476, abs=1e-4)
 
     def test_doubling_returns_only_agreeing_passes(self):
-        # successive passes come no closer than 4.5e-7 by 384 nodes, where
-        # the value is 1.2e-4 off the oracle
+        # a value is returned only when two passes agree, and then it must
+        # match the oracle; at alpha = 2.46 the widest default family would
+        # put C_3 inside 1/C_2, so the validator moves to smaller radii
         p = ModelParams(q=0.0, alpha=2.46, gamma=0.0, t=1.0)
         try:
             vals, _ = asep_transition_batch((), 3, [(3, 2, 1)], 1.0, p, tol=1e-7)
@@ -231,6 +232,18 @@ class TestTransitionQuadrature:
             return
         exact, tail = transition_probability_exact((), (3, 2, 1), 1.0, p)
         assert abs(vals[(3, 2, 1)] - exact) <= 1e-7 + tail
+
+    @pytest.mark.parametrize(
+        "x, q, alpha",
+        [((4, 3, 2, 1), 0.0, 1.2), ((4, 3, 2, 1), 0.3, 1.2), ((3, 2, 1), 0.0, 2.46), ((3, 2, 1), 0.3, 1.71)],
+    )
+    def test_circles_enclose_inverse_circles(self, x, q, alpha):
+        # radii with C_j inside 1/C_i left the pole w_j = 1/w_i between the
+        # circles: 1.6e-6 and 3.0e-6 off at N = 4, no convergence at N = 3
+        p = ModelParams(q=q, alpha=alpha, gamma=0.0, t=1.0)
+        v = asep_transition_probability((), x, 1.0, p)
+        exact, _ = transition_probability_exact((), x, 1.0, p, s_max=16)
+        assert abs(v - exact) <= 1e-9
 
     def test_n_zero(self):
         p = ModelParams(q=0.3, alpha=0.6, gamma=0.0, t=0.7)

@@ -3,10 +3,12 @@
 import cmath
 import gc
 import math
+import re
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsep.numerics import (
@@ -188,6 +190,31 @@ class TestNestedContours:
             "overlap" in v or "encloses" in v for v in err.value.violations
         )
 
+    def test_inverse_circle_constraint(self):
+        # 1/C_1 reaches 0.2/0.8 = 0.25 from 1
+        with pytest.raises(ContourValidationError) as err:
+            validate_nested_contours(0.3, 0.6, (0.2, 0.245))
+        assert err.value.violations == ["inverse-circle-overlap: 1/circle 1 meets circle 2"]
+        assert validate_nested_contours(0.3, 0.6, (0.2, 0.26)).radii == (0.2, 0.26)
+
+    @given(
+        st.floats(0.0, 0.95, exclude_max=True),
+        st.floats(0.0, 5.0),
+        st.lists(st.floats(0.005, 1.5), min_size=1, max_size=5, unique=True).map(sorted),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_forms_match_sampled_circles(self, q, alpha, radii):
+        # at r_j = r_i/(1 - r_i) the two sides differ only by rounding
+        assume(all(abs(b * abs(1.0 - a) - a) > 1e-12 for a, b in combinations(radii, 2)))
+        try:
+            validate_nested_contours(q, alpha, radii)
+            closed = []
+        except ContourValidationError as err:
+            closed = [
+                (v.split(":")[0], re.findall(r"circle (\d+)", v)) for v in err.violations
+            ]
+        assert closed == _sampled_violations(q, alpha, radii)
+
     def test_defaults_valid_on_acceptance_grid(self):
         for q in (0.0, 0.3, 0.7):
             for alpha in (0.4, 1.2):
@@ -195,8 +222,8 @@ class TestNestedContours:
                 assert fam.size == 3
 
     def test_rejected_radii_leave_no_reference_cycle(self):
-        # a kept exception with its traceback would hold this frame and the
-        # caller's, with the caller's grid arrays, until the collector runs
+        # garbage left by rejected candidates, such as an exception with its
+        # traceback, would hold the caller's grid arrays until the collector runs
         gc.collect()
         gc.disable()
         try:
@@ -204,3 +231,34 @@ class TestNestedContours:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _sampled_violations(q, alpha, radii):
+    """(name, circle indices) of each violated constraint, from 720 points
+    per circle: the reference for the closed forms of the validator."""
+    unit = np.exp(2j * np.pi * np.arange(720) / 720)
+    out = []
+    forbidden = [0.0]
+    if q > 0.0:
+        forbidden.append(1.0 / q)
+    if alpha > 0.0:
+        forbidden.append((q + alpha - 1.0) / alpha)
+    for i, r in enumerate(radii):
+        out += [("encloses-forbidden-point", [str(i + 1)]) for p in forbidden if abs(p - 1.0) <= r]
+    if q > 0.0:
+        for j, rj in enumerate(radii):
+            image = q * (1.0 + rj * unit)
+            for i, ri in enumerate(radii[: j + 1]):
+                if np.min(np.abs(image - 1.0)) <= ri:
+                    out.append(("q-image-overlap", [str(j + 1), str(i + 1)]))
+        for el, rl in enumerate(radii):
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # q ~ 1e-308
+                dist = np.abs(1.0 / (q * (1.0 + rl * unit)) - 1.0)
+            for k, rk in enumerate(radii):
+                if np.min(dist) <= rk:
+                    out.append(("inverse-image-overlap", [str(el + 1), str(k + 1)]))
+    for j, rj in enumerate(radii):
+        for i, ri in enumerate(radii[:j]):
+            if np.max(np.abs(1.0 / (1.0 + ri * unit) - 1.0)) >= rj:
+                out.append(("inverse-circle-overlap", [str(i + 1), str(j + 1)]))
+    return out
