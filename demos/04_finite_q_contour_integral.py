@@ -2,8 +2,8 @@
 
 At general left-jump rate q the transition probability is an N-fold integral
 over nested circles around w = 1 of a factorized integrand times the
-hyperoctahedral symmetrization F_y.  This demo evaluates it by node-doubling
-trapezoid quadrature, verifies the eigenvector relation that makes the
+hyperoctahedral symmetrization F_y.  This demo evaluates it by trapezoid
+quadrature on a ladder of node counts (factor 1.5 per pass), verifies the eigenvector relation that makes the
 formula solve the Kolmogorov equation, and checks the t = 0 orthogonality
 and the vanishing permutation sum behind the initial condition.
 """

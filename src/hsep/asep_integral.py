@@ -15,8 +15,11 @@ position; in the last two positions these are one pair or single array,
 and _terms sums both flips into it (half the terms at N = 3, M = 2).
 asep_transition_batch integrates the multiple contour integrand on
 validated nested circles by trapezoid quadrature, one contraction for every
-target x; node doubling and the q -> 0 Richardson legs share one evaluation
-path and one gate on the imaginary residual.  The supporting identities
+target x.  The rule converges geometrically in the node count, so each pass
+takes half again the nodes of the last (32, 48, 72, ...), and a value is
+returned once two passes agree within tol; a pass at finite q and one of the
+q -> 0 Richardson combination climb the same ladder, with one gate on the
+imaginary residual.  The supporting identities
 (eigenvector relation, symmetrization factorization, the reflection of S,
 the t = 0 orthogonality, the vanishing permutation sum) are numerical tests.
 """
@@ -47,7 +50,8 @@ __all__ = [
 ]
 
 _SING_TOL = 1e-8
-_NODE_CAP = 384  # node doubling gives up beyond this many nodes per dimension
+NODE_START = 32  # the first rung of the node ladder
+_NODE_CAP = 384  # the ladder gives up beyond this many nodes per dimension
 
 
 def signed_permutations(n):
@@ -416,14 +420,16 @@ def _integrand_core(y, n, params, fam: NestedContourFamily, nodes, sites):
     return _terms(y, node_arrays, params), pairs, singles, rows
 
 
-def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
+def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=NODE_START, tol=1e-7):
     """P_t(y -> x) for every x in xs (all with |x| = n), one integrand pass.
 
-    Doubles the per-dimension node count until every target value moves by
-    at most tol; at q = 0 with y_M <= N - M + 1 it extrapolates four 96-node
-    legs at small q instead.  Returns (dict x -> probability, diagnostics).
-    Raises QuadratureError if 384 nodes are reached without convergence, and
-    ArithmeticError if a result keeps an imaginary part above max(tol, 1e-9).
+    Climbs the node ladder nodes += (nodes + 1) // 2 (32, 48, 72, 108, ...
+    from the default) until every target value moves by at most tol between
+    two passes; at q = 0 with y_M <= N - M + 1 a pass is the Richardson
+    combination of four legs at small q instead.  Returns (dict x ->
+    probability, diagnostics with last_delta).  Raises QuadratureError if the
+    ladder passes 384 nodes without agreement, and ArithmeticError if a
+    result keeps an imaginary part above max(tol, 1e-9).
     """
     params = params.at(t)
     params.require_exact()
@@ -443,58 +449,48 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=48, tol=1e-7):
 
     sites = [sorted({x[d] for x in xs}) for d in range(n)]
     pos = [{v: i for i, v in enumerate(vs)} for vs in sites]
-
-    def values(pq, fam, m_nodes):
-        vals = _contract(*_integrand_core(y, n, pq, fam, m_nodes, sites))
-        return {tuple(x): pref * vals[tuple(p[v] for p, v in zip(pos, x))] for x in xs}
-
-    def finish(cur, nodes, **diag):
-        max_imag = max(abs(v.imag) for v in cur.values())
-        if max_imag > max(tol, 1e-9):
-            raise ArithmeticError(
-                f"imaginary residual {max_imag:g} exceeds tolerance"
-            )
-        return (
-            {x: v.real for x, v in cur.items()},
-            {"nodes": nodes, "max_imag": max_imag, **diag},
-        )
-
+    diag = {}
     if params.q == 0.0 and y and y[-1] <= n - len(y) + 1:
         # The q = 0 symmetrization limit only has its simple Pfaffian form
-        # for well-separated initial data (no closed form exists otherwise),
-        # so Richardson-extrapolate four moderate-q legs to q = 0.  The legs
-        # use a fixed 96-node grid: at small q the signed sum both roughens
-        # the integrand (the flip-cross factor develops a 1 - w_j/w_i
-        # singularity with a q^-k prefactor) and carries a cancellation
-        # noise floor ~ q^-2 eps, which defeats node-doubling certificates.
-        # The error grows with y_1 (n = 2, alpha = 0.4, t = 2: 6.1e-8 at y_1 = 5,
-        # 2.1e-6 at y_1 = 8; < 3e-8 at t <= 1), and no error estimate is returned.
+        # for well-separated initial data, so a pass Richardson-extrapolates
+        # four legs at q = 0.015 k to q = 0, and the ladder certifies the
+        # quadrature of the combination, not its extrapolation error.  At
+        # small q the integrand roughens (the flip-cross factor has a q^-k
+        # prefactor), so the legs may need many nodes.
         h = 0.015
-        weights = (4.0, -6.0, 4.0, -1.0)
-        runs = []
-        for k in (1, 2, 3, 4):
-            pq = replace(params, q=k * h)
-            fam = default_nested_contours(k * h, params.alpha, n)
-            runs.append(values(pq, fam, 96))
-        cur = {x: sum(wt * run[x] for wt, run in zip(weights, runs)) for x in runs[0]}
-        return finish(cur, 96, q_extrapolated=True)
+        legs = [(wt, replace(params, q=k * h), default_nested_contours(k * h, params.alpha, n))
+                for k, wt in zip((1, 2, 3, 4), (4.0, -6.0, 4.0, -1.0))]
+        diag["q_extrapolated"] = True
+    else:
+        legs = [(1.0, params, default_nested_contours(params.q, params.alpha, n))]
 
-    fam = default_nested_contours(params.q, params.alpha, n)
-    prev = values(params, fam, nodes)
+    def evaluate(m_nodes):
+        vals = sum(wt * _contract(*_integrand_core(y, n, pq, fam, m_nodes, sites))
+                   for wt, pq, fam in legs)
+        return {tuple(x): pref * vals[tuple(p[v] for p, v in zip(pos, x))] for x in xs}
+
+    prev = evaluate(nodes)
     while True:
-        nodes *= 2
+        nodes += (nodes + 1) // 2
         if nodes > _NODE_CAP:
             raise QuadratureError(
                 f"ASEP quadrature did not stabilize to {tol:g} by {_NODE_CAP} nodes"
             )
-        cur = values(params, fam, nodes)
+        cur = evaluate(nodes)
         diff = max(abs(cur[x] - prev[x]) for x in cur)
         if diff <= tol:
-            return finish(cur, nodes, last_delta=diff)
+            break
         prev = cur
+    max_imag = max(abs(v.imag) for v in cur.values())
+    if max_imag > max(tol, 1e-9):
+        raise ArithmeticError(f"imaginary residual {max_imag:g} exceeds tolerance")
+    return (
+        {x: v.real for x, v in cur.items()},
+        {"nodes": nodes, "max_imag": max_imag, "last_delta": diff, **diag},
+    )
 
 
-def asep_transition_probability(y, x, t, params: ModelParams, tol=1e-7, nodes=48):
+def asep_transition_probability(y, x, t, params: ModelParams, tol=1e-7, nodes=NODE_START):
     """P_t(y -> x) for the half-space process at general q (gamma = 0)."""
     x = as_config(x)
     vals, _ = asep_transition_batch(y, len(x), [x], t, params, nodes=nodes, tol=tol)

@@ -109,8 +109,8 @@ def _cmd_asep_prob(args):
         "x": list(x),
         "value": value,
         "tol": args.tol,
-        # nodes and max_imag; last_delta after node doubling, or
-        # q_extrapolated on the q -> 0 Richardson path (no error estimate)
+        # nodes, max_imag and last_delta, the change between the last two
+        # passes of the node ladder; q_extrapolated on the q -> 0 Richardson path
         "diagnostics": diag,
     }
     _emit_with_oracle(
@@ -309,7 +309,7 @@ def build_parser():
     s.add_argument("--y", default="", help="initial configuration, e.g. '4,2' ('' = empty)")
     s.add_argument("--x", required=True, help="target configuration")
     s.add_argument("--tol", type=float, default=1e-7)
-    s.add_argument("--nodes", type=int, default=48)
+    s.add_argument("--nodes", type=int, default=ai.NODE_START)
     _add_common(s, q=True, oracle=True)
     s.set_defaults(fn=_cmd_asep_prob)
 

@@ -178,6 +178,7 @@ class KernelTable:
         at j = -d and 0 below, from D_{-J} = 0 up, so no entry depends on the
         span.  A request beyond the span rebuilds it with b_hi and y_hi twice
         the largest asked for (y_hi <= J): a few builds per table at most.
+        When only b_hi grows, the run continues from the stored top diagonal.
         """
         got = self.memo.get("d")
         b1, y0, y1 = got[0] if got else (0, 1, 1)
@@ -186,20 +187,27 @@ class KernelTable:
         n = len(self.pi)
         b_hi = b1 if b_hi <= b1 else 2 * b_hi
         y_lo, y_hi = min(y_lo, y0), y1 if y_hi <= y1 else min(2 * y_hi, n)
-        (m_lo, _, lo), rows = self._rows("w", 0, 0, y_lo)
-        row0 = rows[-m_lo, y_lo - lo :]
         d_hi, end = b_hi + 1 - y_lo, n - y_lo  # end: the column of j = J
         diag = np.zeros((d_hi + y_hi + 1, end + 1 + y_hi - y_lo))
-        below = np.zeros((2, end + 1))  # the diagonals below the span
-        prev = below[1]
-        for d in range(1 - n, d_hi + 1):
+        if got and (y_lo, y_hi) == (y0, y1):
+            top = len(got[1])  # the stored rows, d < top - y_hi, stay as they are
+            diag[:top] = got[1]
+            prev = diag[top - 1].copy()
+            prev[(y_lo + 1) % 2 :: 2] *= -1.0  # exact: the stored signs undone
+            d_lo = top - y_hi
+        else:
+            (m_lo, _, lo), rows = self._rows("w", 0, 0, y_lo)
+            row0 = rows[-m_lo, y_lo - lo :]
+            below = np.zeros((2, end + 1))  # the diagonals below the span
+            top, d_lo, prev = 0, 1 - n, below[1]
+        for d in range(d_lo, d_hi + 1):
             cur = diag[d + y_hi] if d >= -y_hi else below[d % 2]
             i = max(-d - y_lo, 0)  # the entries left of j = -d are 0
             np.add(prev[i:end], prev[i + 1 : end + 1], out=cur[i:end])
             if -d >= y_lo:
                 cur[i] = row0[i]
             prev = cur
-        diag[:, (y_lo + 1) % 2 :: 2] *= -1.0
+        diag[top:, (y_lo + 1) % 2 :: 2] *= -1.0
         self.memo["d"] = (b_hi, y_lo, y_hi), diag
         return self.memo["d"]
 

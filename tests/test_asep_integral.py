@@ -196,7 +196,7 @@ class TestTransitionQuadrature:
         p = ModelParams(q=0.3, alpha=0.6, gamma=0.0, t=0.3)
         dist = oracle_distribution((4, 2), 0.3, p, s_max=14)
         xs = [tuple(sorted(s, reverse=True)) for s in combinations(range(1, 7), 4)]
-        vals, _ = asep_transition_batch((4, 2), 4, xs, 0.3, p, nodes=24)
+        vals, _ = asep_transition_batch((4, 2), 4, xs, 0.3, p, nodes=24, tol=1e-8)
         for x, v in vals.items():
             assert abs(v - dist.probability(x)) < 1e-9
 
@@ -212,14 +212,33 @@ class TestTransitionQuadrature:
         v = asep_transition_probability((2, 1), (4, 2, 1), 0.5, p, tol=1e-7, nodes=24)
         assert abs(v - dist.probability((4, 2, 1))) < 1e-7
 
+    @pytest.mark.parametrize("y1", [5, 6, 7, 8])
+    def test_richardson_certified_or_refused(self, y1):
+        # the q -> 0 legs climb the node ladder; their noise floor grows with
+        # y1 (at t = 2), and a batch the ladder cannot certify is refused
+        p = ModelParams(q=0.0, alpha=0.4, gamma=0.0, t=2.0)
+        xs = [tuple(sorted(s, reverse=True)) for s in combinations(range(1, 9), 2)]
+        try:
+            vals, diag = asep_transition_batch((y1, 1), 2, xs, 2.0, p, tol=1e-7)
+        except QuadratureError:
+            return
+        assert diag["q_extrapolated"] and diag["last_delta"] <= 1e-7
+        dist = oracle_distribution((y1, 1), 2.0, p, s_max=22)
+        for x, v in vals.items():
+            assert abs(v - dist.probability(x)) <= 1e-7 + dist.tail_bound
+
     def test_nodes_below_one_refused(self):
         # with no nodes every pass sums to 0, and two passes agree at once
         p = ModelParams(q=0.3, alpha=0.5, gamma=0.0, t=1.0)
         for nodes in (0, -4):
             with pytest.raises(ValueError, match="nodes"):
                 asep_transition_batch((), 1, [(1,)], 1.0, p, nodes=nodes)
-        v = asep_transition_probability((), (1,), 1.0, p, nodes=1)
-        assert v == pytest.approx(0.2476, abs=1e-4)
+        vals, diag = asep_transition_batch((), 1, [(1,)], 1.0, p, nodes=1)
+        assert vals[(1,)] == pytest.approx(0.2476, abs=1e-4)
+        ladder = [1]  # a pass takes half again the nodes of the last, rounded up
+        while ladder[-1] < diag["nodes"]:
+            ladder.append(ladder[-1] + (ladder[-1] + 1) // 2)
+        assert ladder[:4] == [1, 2, 3, 5] and ladder[-1] == diag["nodes"]
 
     def test_doubling_returns_only_agreeing_passes(self):
         # a value is returned only when two passes agree, and then it must

@@ -57,11 +57,12 @@ class TestSubcommands:
         payload = json.loads(out)
         assert 0.0 <= payload["value"] <= 1.0
         diag = payload["diagnostics"]
-        assert diag["nodes"] >= 48 and diag["max_imag"] < 1e-9
+        assert diag["nodes"] > 24 and diag["max_imag"] < 1e-9
         assert 0.0 <= diag["last_delta"] <= 1e-7 and "q_extrapolated" not in diag
 
     def test_asep_prob_richardson_diagnostics(self, capsys):
-        # q = 0 with y = (2, 1) not separated: the Richardson path, no delta
+        # q = 0 with y = (2, 1) not separated: the Richardson path, on the
+        # node ladder from the default 32 and certified like a finite-q batch
         rc, out = run_cli(
             [
                 "asep-prob", "--x", "3,1", "--y", "2,1", "--q", "0",
@@ -73,8 +74,8 @@ class TestSubcommands:
         head, row = (line.split(",") for line in out.strip().splitlines())
         diag = dict(zip(head, row))
         assert diag["diagnostics.q_extrapolated"] == "True"
-        assert diag["diagnostics.nodes"] == "96"
-        assert "diagnostics.last_delta" not in diag
+        assert int(diag["diagnostics.nodes"]) in (48, 72, 108, 162, 243, 365)
+        assert 0.0 <= float(diag["diagnostics.last_delta"]) <= 1e-7
 
     def test_joint_and_current(self, capsys):
         rc, out = run_cli(

@@ -366,6 +366,18 @@ class TestMemoReproducibility:
         fresh = type(table_for(p))(p).q_kernel(2, 3, 4, 5)
         assert abs(first - fresh) < 1e-12
 
+    @pytest.mark.parametrize("alpha, t", [(0.7, 2.9), (1.3, 0.4), (0.0, 1.0)])
+    def test_grown_diagonals_match_a_fresh_build(self, alpha, t):
+        # a growth in b alone continues from the stored top diagonal; a
+        # growth in y rebuilds from D_{-J}; both equal one build of the span
+        p = ModelParams(alpha=alpha, t=t)
+        grown = KernelTable(p)
+        for ask in ((0, 1, 3), (2, 1, 3), (9, 1, 3), (9, -2, 3), (30, -2, 3), (30, -2, 20)):
+            span, diag = grown._diagonals(*ask)
+            fresh_span, fresh = KernelTable(p)._diagonals(*ask)
+            assert span == fresh_span and diag.shape == fresh.shape
+            assert diag.tobytes() == fresh.tobytes()
+
 
 def _block_is_scalar(f, axes, p):
     """f on the grid of axes, checked entry by entry against its scalar calls."""
