@@ -35,6 +35,7 @@ import numpy as np
 from .kernels import ModelParams
 from .markov_oracle import as_config, generator_row
 from .numerics import NestedContourFamily, QuadratureError, default_nested_contours
+from .tasep_formulas import _separated
 
 __all__ = [
     "signed_permutations",
@@ -65,8 +66,6 @@ def V_constant(k, q):
     """q^binom(k,2) (1-q)^k / prod_{i=1..k} (1-q^i)(1+q^(i-1))."""
     if not 0.0 <= q < 1.0:
         raise ValueError("q must lie in [0, 1)")
-    if k == 0:
-        return 1.0
     num = q ** math.comb(k, 2) * (1.0 - q) ** k
     den = 1.0
     for i in range(1, k + 1):
@@ -158,9 +157,6 @@ def eval_F_alternative(y, w, params: ModelParams):
     """
     y = as_config(y)
     w = [complex(v) for v in w]
-    n, m = len(w), len(y)
-    if m > n:
-        return 0.0 + 0.0j
     if params.q == 0.0:
         raise ValueError("use eval_F_pfaffian_limit at q = 0")
     _check_alphabet(w, params.q)
@@ -176,10 +172,7 @@ def eval_F_pfaffian_limit(y, w, params: ModelParams):
     """
     y = as_config(y)
     w = [complex(v) for v in w]
-    n, m = len(w), len(y)
-    if m > n:
-        return 0.0 + 0.0j
-    if m > 0 and y[-1] <= n - m + 1:
+    if not _separated(y, len(w)):
         raise ValueError("Pfaffian limit needs y_M > N - M + 1")
     return _at_point(y, w, replace(params, q=0.0))
 
@@ -426,7 +419,8 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=NODE_START, to
     Climbs the node ladder nodes += (nodes + 1) // 2 (32, 48, 72, 108, ...
     from the default) until every target value moves by at most tol between
     two passes; at q = 0 with y_M <= N - M + 1 a pass is the Richardson
-    combination of four legs at small q instead.  Returns (dict x ->
+    combination of four legs at small q instead.  M > N gives F no term (0.0)
+    and N = 0 one empty term (e^(-alpha t)).  Returns (dict x ->
     probability, diagnostics with last_delta).  Raises QuadratureError if the
     ladder passes 384 nodes without agreement, and ArithmeticError if a
     result keeps an imaginary part above max(tol, 1e-9).
@@ -441,16 +435,11 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=NODE_START, to
         raise ValueError("all target configurations must have n particles")
     if not xs:
         return {}, {"nodes": 0, "max_imag": 0.0}
-    if len(y) > n:
-        return {tuple(x): 0.0 for x in xs}, {"nodes": 0, "max_imag": 0.0}
     pref = math.exp(-params.alpha * params.t)
-    if n == 0:
-        return {(): pref}, {"nodes": 0, "max_imag": 0.0}
-
     sites = [sorted({x[d] for x in xs}) for d in range(n)]
     pos = [{v: i for i, v in enumerate(vs)} for vs in sites]
     diag = {}
-    if params.q == 0.0 and y and y[-1] <= n - len(y) + 1:
+    if params.q == 0.0 and not _separated(y, n):
         # The q = 0 symmetrization limit only has its simple Pfaffian form
         # for well-separated initial data, so a pass Richardson-extrapolates
         # four legs at q = 0.015 k to q = 0, and the ladder certifies the

@@ -64,12 +64,14 @@ def _emit(args, payload):
             else:
                 flat[k] = v
         flat = {k: v for k, v in flat.items() if isinstance(v, (int, float, str, bool))}
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(flat.keys())
-        writer.writerow(flat.values())
-        text = buf.getvalue().rstrip("\n")
+        text = _csv([flat.keys(), flat.values()])
     _write(args, text)
+
+
+def _csv(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().rstrip("\n")
 
 
 def _write(args, text):
@@ -78,6 +80,16 @@ def _write(args, text):
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _write_table(args, text, columns):
+    """A to_json table as it is, or under --format csv one row per entry, in
+    its order: config (the sites joined by spaces), then columns."""
+    if args.format == "csv":
+        rows = ([" ".join(map(str, e["config"])), *(e[c] for c in columns)]
+                for e in json.loads(text)["entries"])
+        text = _csv([["config", *columns], *rows])
+    _write(args, text)
 
 
 def _emit_with_oracle(args, payload, oracle):
@@ -249,13 +261,13 @@ def _cmd_oracle(args):
             },
         )
     else:
-        _write(args, dist.to_json())
+        _write_table(args, dist.to_json(), ["p"])
 
 
 def _cmd_simulate(args):
     params = _params(args)
     y = _parse_config(args.y)
-    _write(args, orc.simulate(y, args.t, params, args.n, args.seed).to_json())
+    _write_table(args, orc.simulate(y, args.t, params, args.n, args.seed).to_json(), ["p", "stderr"])
 
 
 def _cmd_verify(args):

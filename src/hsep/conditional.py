@@ -112,8 +112,6 @@ def build_skew_biorthogonal(n, m, y, params: ModelParams):
     y = as_config(y)
     if len(y) != m:
         raise ValueError("y must have M parts")
-    if m > n:
-        raise ValueError("need M <= N")
     if (n + m) % 2 != 0:
         raise ValueError("the kernel construction needs N + M even")
     if m > 0:

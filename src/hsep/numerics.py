@@ -38,6 +38,7 @@ __all__ = [
 # coefficient) are treated as an exact zero of the series.  Pole clustering in
 # the kernel evaluators guarantees genuine coefficients sit far above it.
 _STRIP_TOL = 1e-13
+_CONTOUR_MARGIN = 0.01  # relative clearance of every constraint by a default family
 
 
 class JetError(ArithmeticError):
@@ -390,26 +391,28 @@ def _forbidden_points(q, alpha):
     return points
 
 
-def _violations(q, alpha, radii):
-    """The violated constraints of the family, named as in validate_nested_contours."""
+def _violations(q, alpha, radii, margin=0.0):
+    """The violated constraints of the family, named as in validate_nested_contours;
+    with a margin, each distance d > r from a radius r must clear r (1 + margin)."""
     points = _forbidden_points(q, alpha)
+    widen = 1.0 + margin
     out = []
     for i, r in enumerate(radii):
         for p in points:
-            if abs(p - 1.0) <= r:
+            if abs(p - 1.0) <= r * widen:
                 out.append(f"encloses-forbidden-point: circle {i + 1} (radius {r:g}) encloses {p:g}")
     if q > 0.0:
         for j, rj in enumerate(radii):
             for i, ri in enumerate(radii[: j + 1]):
-                if abs(q * (1.0 + rj) - 1.0) <= ri:
+                if abs(q * (1.0 + rj) - 1.0) <= ri * widen:
                     out.append(f"q-image-overlap: q*circle {j + 1} meets circle {i + 1}")
         for el, rl in enumerate(radii):
             for k, rk in enumerate(radii):
-                if abs(1.0 / (q * (1.0 + rl)) - 1.0) <= rk:
+                if abs(1.0 / (q * (1.0 + rl)) - 1.0) <= rk * widen:
                     out.append(f"inverse-image-overlap: (q*circle {el + 1})^-1 meets circle {k + 1}")
     for j, rj in enumerate(radii):
         for i, ri in enumerate(radii[:j]):
-            if rj * abs(1.0 - ri) <= ri:  # r_j <= r_i/|1 - r_i|, exact past r_i = 1 too
+            if rj * abs(1.0 - ri) <= ri * widen:  # r_j <= r_i/|1 - r_i|, exact past r_i = 1 too
                 out.append(f"inverse-circle-overlap: 1/circle {i + 1} meets circle {j + 1}")
     return out
 
@@ -441,7 +444,9 @@ def default_nested_contours(q, alpha, n):
     Larger contours keep the (1-w)^(-y) initial-data factors small on the
     circles (roundoff scales like r^(-y_1)), so the largest base radius that
     validates with a safety margin to every forbidden point is preferred;
-    at large q the nesting constraints force the radii small again.
+    at large q the nesting constraints force the radii small again.  Every
+    constraint must clear by _CONTOUR_MARGIN: a barely valid family gives
+    values far off that the node ladder does not see.
     """
     r_hi = 0.55 * min(abs(p - 1.0) for p in _forbidden_points(q, alpha))
     violations = [f"no valid nested family found for q={q}, alpha={alpha}, n={n}"]
@@ -456,10 +461,10 @@ def default_nested_contours(q, alpha, n):
                 continue  # circles too close together: slow convergence
         else:
             grow = 1.0
-            if r1 > r_hi:
-                continue
+            if n and r1 > r_hi:
+                continue  # no circle, N = 0, always fits
         radii = tuple(r1 * grow**i for i in range(n))
-        violations = _violations(q, alpha, radii)
+        violations = _violations(q, alpha, radii, _CONTOUR_MARGIN)
         if not violations:
             return NestedContourFamily(q=q, alpha=alpha, radii=radii)
     raise ContourValidationError(violations)

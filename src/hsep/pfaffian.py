@@ -51,8 +51,8 @@ def as_skew(entries):
         a = a.astype(complex if a.dtype.kind in "cO" else float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("skew matrix must be square")
-    scale = max(np.max(np.abs(a)), 1.0)
-    dev = np.max(np.abs(a + a.T))
+    scale = max(np.max(np.abs(a), initial=0.0), 1.0)
+    dev = np.max(np.abs(a + a.T), initial=0.0)
     if dev > _SKEW_TOL * scale:
         raise ValueError(f"matrix is not skew-symmetric (deviation {dev:g})")
     return a
@@ -187,8 +187,6 @@ def skew_borel(m):
 
 def _pf_sub(m, index_list):
     idx = list(index_list)
-    if not idx:
-        return 1.0
     return pfaffian(m[np.ix_(idx, idx)])
 
 

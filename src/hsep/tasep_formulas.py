@@ -64,15 +64,19 @@ def _probability(value):
     return p
 
 
+def _separated(y, n):
+    """y_M > N - M + 1, the Pfaffian formulas' separation (M = 0 needs none)."""
+    return not y or y[-1] > n - len(y) + 1
+
+
 def require_well_separated(y, n):
-    """The Pfaffian formulas with M > 0 need y_M > N - M + 1."""
+    """y as a configuration, refused unless M <= N and y_M > N - M + 1."""
     y = as_config(y)
-    m = len(y)
-    if m > n:
+    if len(y) > n:
         raise ValueError("more initial than final particles (probability 0)")
-    if m > 0 and y[-1] <= n - m + 1:
+    if not _separated(y, n):
         raise ValueError(
-            f"initial data must satisfy y_M > N-M+1 (= {n - m + 1}); the "
+            f"initial data must satisfy y_M > N-M+1 (= {n - len(y) + 1}); the "
             "Pfaffian formula is outside its validity domain"
         )
     return y
@@ -104,42 +108,44 @@ def _matrix(x, y, params, shift=0):
     return mat - mat.T
 
 
-def _pfaffian_value(x, y, params, shift=0):
-    prefactor = (-1.0) ** math.comb(len(x), 2) * math.exp(-params.alpha * params.t)
-    if (len(x) + len(y)) % 2 == 1:
-        prefactor *= params.alpha
-    return prefactor * pfaffian(_matrix(x, y, params, shift))
+def _prefactor(n, m, params):
+    """(-1)^C(N,2) e^(-alpha t), times alpha for N + M odd: the Pfaffian's factor."""
+    sign = (-1.0) ** math.comb(n, 2)
+    return sign * math.exp(-params.alpha * params.t) * (params.alpha if (n + m) % 2 else 1.0)
+
+
+def _pfaffian_probability(y, x, t, params, shift):
+    """The Pfaffian probability at the validated sites (shift 0) or thresholds
+    (shift 1) x.  M > N is exactly 0: particles never leave.  N = 0 is
+    e^(-alpha t) times the empty Pfaffian, 1.
+    """
+    params = params.at(t)
+    params.require_tasep()
+    y = as_config(y)
+    n, m = len(x), len(y)
+    if m > n:
+        return 0.0
+    if not _separated(y, n):
+        require_well_separated(y, n)  # refuses, naming the bound
+    return _probability(_prefactor(n, m, params) * pfaffian(_matrix(x, y, params, shift)))
 
 
 def tasep_transition_probability(y, x, t, params: ModelParams):
     """P_t(y -> x) for the half-line TASEP via the Schuetz-type Pfaffian.
 
-    Requires q = gamma = 0 and, for M > 0, the separation y_M > N - M + 1.
+    Requires q = gamma = 0 and, for 0 < M <= N, the separation y_M > N - M + 1.
     """
-    params = params.at(t)
-    params.require_tasep()
-    x = as_config(x)
-    n = len(x)
-    y = require_well_separated(y, n)
-    if n == 0:
-        return math.exp(-params.alpha * params.t)
-    return _probability(_pfaffian_value(x, y, params, shift=0))
+    return _pfaffian_probability(y, as_config(x), t, params, shift=0)
 
 
 def joint_distribution(y, s, t, params: ModelParams):
     """P(X_t(k) >= s_k for all k and |X_t| = N | X_0 = y).
 
-    s must be strictly decreasing with s_N >= 1; uses the shifted-index
-    Pfaffian (kernels Q_{i+1,j+1}, p_{i+1}, U_{i-k+1} at the thresholds).
+    s must be strictly decreasing with s_N >= 1 (the empty s gives
+    P(|X_t| = 0)); uses the shifted-index Pfaffian (kernels Q_{i+1,j+1},
+    p_{i+1}, U_{i-k+1} at the thresholds).
     """
-    params = params.at(t)
-    params.require_tasep()
-    s = as_config(s)
-    n = len(s)
-    y = require_well_separated(y, n)
-    if n == 0:
-        raise ValueError("need at least one threshold")
-    return _probability(_pfaffian_value(s, y, params, shift=1))
+    return _pfaffian_probability(y, as_config(s), t, params, shift=1)
 
 
 def boundary_current_probability(n, y, t, params: ModelParams):
@@ -148,15 +154,9 @@ def boundary_current_probability(n, y, t, params: ModelParams):
     All thresholds equal 1; the row-reduced form of the joint distribution
     stays valid there even though the s_k are no longer strictly decreasing.
     """
-    params = params.at(t)
-    params.require_tasep()
-    y = require_well_separated(y, n)
-    if n == 0:
-        if len(y) > 0:
-            return 0.0
-        return math.exp(-params.alpha * params.t)
-    s = tuple([1] * n)
-    return _probability(_pfaffian_value(s, y, params, shift=1))
+    if n < 0:
+        raise ValueError(f"particle count n = {n} is negative")
+    return _pfaffian_probability(y, (1,) * n, t, params, shift=1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +220,6 @@ def enumerate_gt_patterns(x, z_max, cap=10**7):
     """
     x = as_config(x)
     n = len(x)
-    if n == 0:
-        yield GTPattern([])
-        return
     count = 0
 
     def extend(rows):
@@ -334,9 +331,7 @@ def gt_pattern_sum(x, y, t, params: ModelParams, z_max=None, cap=10**7):
         raise ValueError(f"z_max = {z_max} is below x_1 = {x[0]}: no GT pattern fits")
     # (-1)^M: the Xi columns take y_1..y_M where the U columns take y_M..y_1,
     # and Xi_{N-k} carries (-1)^k, so (-1)^(C(M,2) + C(M+1,2)) = (-1)^M.
-    sign = (-1.0) ** (math.comb(n, 2) + m) * math.exp(-params.alpha * params.t)
-    if (n + m) % 2 == 1:
-        sign *= params.alpha
+    sign = (-1.0) ** m * _prefactor(n, m, params)
     counted = _top_rows(x, z_max, cap)
     tops = np.array(list(counted), dtype=int).reshape(len(counted), n)
     counts = np.array(list(counted.values()), dtype=float)
@@ -362,15 +357,9 @@ def w_measure(rows, y, n, params: ModelParams):
     if len(rows) != n:
         raise ValueError("need N rows")
     det_prod = 1.0
-    for k in range(1, n + 1):
-        # phi_k block: rows are z^{k-1} entries plus the virtual dagger row
-        # (all ones), columns the k entries of row k.
-        mat = np.zeros((k, k))
-        prev = rows[k - 2] if k >= 2 else ()
-        for i in range(k - 1):
-            for j in range(k):
-                mat[i, j] = 1.0 if prev[i] <= rows[k - 1][j] else 0.0
-        mat[k - 1, :] = 1.0
-        det_prod *= np.linalg.det(mat)
+    for prev, row in zip([()] + rows, rows):
+        # phi_k block: rows are the z^{k-1} entries plus the virtual dagger
+        # row (all ones), columns the k entries of row k.
+        det_prod *= np.linalg.det(np.vstack([np.less_equal.outer(prev, row), np.ones(len(row))]))
     top = np.array(rows[-1:], dtype=int).reshape(1, n)
     return det_prod * _weights(top, y, n, params)[0]

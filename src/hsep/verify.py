@@ -56,10 +56,6 @@ def _asep_oracle_equivalence():
                         dist = orc.oracle_distribution(y, t, params, s_max)
                         tail = max(tail, dist.tail_bound)
                         for n in range(m, 4):
-                            if n == 0:
-                                empty = dist.probability(())
-                                worst = max(worst, abs(math.exp(-alpha * t) - empty))
-                                continue
                             vals, _ = ai.asep_transition_batch(
                                 y, n, by_n[n], t, params, nodes=24, tol=2e-7
                             )

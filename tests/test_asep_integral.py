@@ -23,7 +23,7 @@ from hsep.asep_integral import (
 )
 from hsep.kernels import ModelParams
 from hsep.markov_oracle import oracle_distribution, transition_probability_exact
-from hsep.numerics import QuadratureError
+from hsep.numerics import QuadratureError, default_nested_contours
 from hsep.tasep_formulas import tasep_transition_probability
 
 P = ModelParams(q=0.4, alpha=0.6, gamma=0.0, t=1.0)
@@ -263,6 +263,22 @@ class TestTransitionQuadrature:
         v = asep_transition_probability((), x, 1.0, p)
         exact, _ = transition_probability_exact((), x, 1.0, p, s_max=16)
         assert abs(v - exact) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n, q, alpha, radii",
+        [(3, 0.7, 0.9351, (0.06, 0.096, 0.1536)), (5, 0.29, 1.73, (0.08, 0.1037, 0.1344, 0.1742, 0.2257))],
+    )
+    def test_contours_clear_constraints_with_margin(self, n, q, alpha, radii):
+        # without the margin the default radii cleared the q-image bound by
+        # 1e-4 (N = 3) and 1/C_i by 9.9e-7 (N = 5), relative: 7e-11 and
+        # 2e-10 off the oracle, while two agreeing passes at 48 nodes hid it
+        assert default_nested_contours(q, alpha, n).radii == pytest.approx(radii, abs=1e-4)
+        p = ModelParams(q=q, alpha=alpha, gamma=0.0, t=1.0)
+        xs = [tuple(sorted(c, reverse=True)) for c in combinations(range(1, 6), n)]
+        vals, _ = asep_transition_batch((), n, xs, 1.0, p)
+        dist = oracle_distribution((), 1.0, p, s_max=16)
+        for x in xs:
+            assert abs(vals[x] - dist.probability(x)) <= 1e-13 + dist.tail_bound, x
 
     def test_n_zero(self):
         p = ModelParams(q=0.3, alpha=0.6, gamma=0.0, t=0.7)

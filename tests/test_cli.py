@@ -1,15 +1,25 @@
 """CLI dispatch, output formats, determinism, and exit codes."""
 
+import csv
 import json
 import math
 import subprocess
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from hsep import verify
+from hsep.asep_integral import asep_transition_batch
 from hsep.cli import main
+from hsep.kernels import ModelParams
+from hsep.pfaffian import pfaffian
+from hsep.tasep_formulas import (
+    boundary_current_probability,
+    joint_distribution,
+    tasep_transition_probability,
+)
 
 
 def run_cli(args, capsys):
@@ -176,6 +186,93 @@ class TestSubcommands:
         assert fields["conditional.N"] == "2"
         assert 0.0 < float(fields["conditional.value"]) < 1.0
 
+    @pytest.mark.parametrize(
+        "args, columns",
+        [
+            (["oracle", "--y", "2", "--q", "0.3", "--gamma", "0.2", "--s-max", "8"], ["p"]),
+            (["simulate", "--y", "2", "--q", "0.3", "--n", "2000", "--seed", "5"], ["p", "stderr"]),
+        ],
+    )
+    def test_table_csv_matches_json(self, capsys, args, columns):
+        # one row per JSON entry, in its order: the sites joined by spaces, then the columns
+        args = args + ["--alpha", "0.6", "--t", "0.8"]
+        rc, out = run_cli(args, capsys)
+        assert rc == 0
+        entries = json.loads(out)["entries"]
+        rc, out = run_cli(args + ["--format", "csv"], capsys)
+        assert rc == 0
+        header, *rows = csv.reader(out.splitlines())
+        assert header == ["config", *columns]
+        assert len(rows) == len(entries) > 3
+        for row, e in zip(rows, entries):
+            assert row[0].split() == [str(s) for s in e["config"]]
+            assert [float(v) for v in row[1:]] == [e[c] for c in columns]
+
+
+P0 = ModelParams(q=0.0, alpha=0.6, gamma=0.0, t=1.3)
+
+
+def _sites(n):
+    return tuple(range(n, 0, -1))
+
+
+def _text(config):
+    return ",".join(map(str, config))
+
+
+def _cli(capsys, *args):
+    rc, out = run_cli([*args, "--alpha", "0.6", "--t", "1.3"], capsys)
+    assert rc == 0
+    return json.loads(out)["value"]
+
+
+def _asep(q):
+    params = ModelParams(q=q, alpha=0.6, gamma=0.0, t=1.3)
+    return lambda y, n, c: asep_transition_batch(y, n, [_sites(n)], 1.3, params)[0][_sites(n)]
+
+
+# (y, n, capsys) -> P(y -> n particles at sites n, ..., 1) or its threshold analogue
+EVALUATORS = {
+    "tasep": lambda y, n, c: tasep_transition_probability(y, _sites(n), 1.3, P0),
+    "joint": lambda y, n, c: joint_distribution(y, _sites(n), 1.3, P0),
+    "current": lambda y, n, c: boundary_current_probability(n, y, 1.3, P0),
+    "asep-q0": _asep(0.0),
+    "asep-q0.3": _asep(0.3),
+    "cli-tasep": lambda y, n, c: _cli(c, "tasep-prob", "--y", _text(y), "--x", _text(_sites(n))),
+    "cli-joint": lambda y, n, c: _cli(c, "joint", "--y", _text(y), "--s", _text(_sites(n))),
+    "cli-current": lambda y, n, c: _cli(c, "current", "--y", _text(y), "--n", str(n)),
+    "cli-asep-q0": lambda y, n, c: _cli(c, "asep-prob", "--y", _text(y), "--x", _text(_sites(n))),
+    "cli-asep-q0.3": lambda y, n, c: _cli(
+        c, "asep-prob", "--q", "0.3", "--y", _text(y), "--x", _text(_sites(n))
+    ),
+}
+
+
+class TestEdgeContract:
+    """N = 0 gives e^(-alpha t) and M > N exactly 0, from the general formulas."""
+
+    def test_empty_pfaffian_is_one(self):
+        assert pfaffian(np.zeros((0, 0))) == 1.0
+
+    @pytest.mark.parametrize("name", EVALUATORS)
+    def test_empty_target_and_more_initial_particles(self, capsys, name):
+        evaluate = EVALUATORS[name]
+        assert evaluate((), 0, capsys) == pytest.approx(math.exp(-0.6 * 1.3), rel=1e-15)
+        for y, n in (((3,), 0), ((5, 3), 1), ((6, 4, 2), 2)):
+            assert evaluate(y, n, capsys) == 0.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gt-sum", "--y", "5,3", "--x", "2"],  # Xi needs k <= N
+            ["conditional", "--n", "1", "--y", "5,3,1", "--p", "1", "--a", "1"],
+            ["current", "--n", "-1"],
+        ],
+    )
+    def test_refusals_stay_exit_3(self, capsys, args):
+        assert main(args + ["--alpha", "0.6", "--t", "1.3"]) == 3
+        assert "precondition violated" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_identical_runs_identical_output(self, capsys, tmp_path):
@@ -295,16 +392,21 @@ class TestExitCodes:
         assert rc == 4
         assert "site 62" in capsys.readouterr().err
 
-    def test_verify_quick_passes(self, capsys, tmp_path):
+    def test_verify_quick_passes(self, capsys, monkeypatch, tmp_path):
+        # tests/test_acceptance.py runs the real checks; --level quick must
+        # skip a full check
+        quick = verify.Check("stub", "quick", lambda: [("stub-a", 0.25, 0.5), ("stub-b", 0, 0)])
+        full = verify.Check("stub-full", "full", lambda: [("stub-full-row", 1.0, 0.5)])
+        monkeypatch.setattr(verify, "CHECKS", (quick, full))
         out_file = tmp_path / "verify.json"
         rc, out = run_cli(["verify", "--level", "quick", "--out", str(out_file)], capsys)
         assert rc == 0
-        assert "ALL CHECKS PASS" in out
+        assert "ALL CHECKS PASS" in out and "stub-full-row" not in out
         report = json.loads(out_file.read_text())
         assert report["level"] == "quick" and report["passed"] is True
         names = [c["name"] for c in report["checks"]]
+        assert names == ["stub-a", "stub-b"]
         assert len(names) == len(out.splitlines()) - 1  # one entry per printed row
-        assert len(set(names)) == len(names)
 
     def test_verify_failing_row_is_4(self, capsys, monkeypatch, tmp_path):
         stub = verify.Check("stub", "quick", lambda: [("stub-row", 1.0, 0.5)])
