@@ -3,12 +3,12 @@ hyperoctahedral symmetrization.
 
 eval_F is the initial-data symmetrization (the Bethe-ansatz eigenvector of
 the generator) as its defining 2^N N! sum, kept as the reference; at q = 0 it
-dispatches to the Pfaffian limit (Stembridge block form).  Production writes
-F as signed products of pair and single factors (_terms: the partial
-symmetrization at q > 0, the Stembridge block Pfaffian at q = 0) and sums
-them with one pairwise contraction against the x powers (_contract), which
-beyond N = 2 never forms the (nodes,)^N grid; eval_F_alternative and
-eval_F_pfaffian_limit are one-point contractions.  The scattering factor
+dispatches to the Pfaffian limit.  Production writes F as signed products of
+pair and single factors (_terms: the partial symmetrization, whose flips
+w -> 1/(q w) drop out at q = 0) and sums them with one pairwise contraction
+against the x powers (_contract), which beyond N = 2 never forms the
+(nodes,)^N grid; eval_F_alternative and eval_F_pfaffian_limit are one-point
+contractions.  The scattering factor
 S(a, b) = (a - q b)(1 - a b)/((a - b)(1 - q a b)) obeys S(a, 1/(q b)) =
 S(a, b), so a flip w -> 1/(q w) changes only the factors of its own
 position; in the last two positions these are one pair or single array,
@@ -164,11 +164,12 @@ def eval_F_alternative(y, w, params: ModelParams):
 
 
 def eval_F_pfaffian_limit(y, w, params: ModelParams):
-    """lim_{q->0} of the symmetrization, as the Stembridge-block Pfaffian.
+    """lim_{q->0} of the symmetrization: the partial symmetrization without
+    its flips, equal to the Stembridge block Pfaffian of the paper.
 
-    Requires y_M > N - M + 1 (the separation under which the limit has the
-    simple Pfaffian structure); matches the small-q limit of eval_F with no
-    extra constant.  A one-point contraction of the q = 0 terms.
+    Requires y_M > N - M + 1, the separation under which every flipped term
+    vanishes with q; matches the small-q limit of eval_F with no extra
+    constant.  A one-point contraction of the q = 0 terms.
     """
     y = as_config(y)
     w = [complex(v) for v in w]
@@ -216,42 +217,25 @@ def _terms(y, nodes, params):
     Yields (coef, pairs, singles), pairs mapping a < b to a (len(nodes[a]),
     len(nodes[b])) array and singles d to a len(nodes[d]) array; F at grid
     point k is the sum of coef * prod pairs[a, b][k_a, k_b] * prod
-    singles[d][k_d].  At q = 0 (y separated) the terms of the Stembridge
-    block Pfaffian.  At q > 0 the partial symmetrization over M-subsets,
-    their orders and the flips w -> 1/(q w) of the moved variables, folded:
-    since S(a, 1/(q b)) = S(a, b) for the scattering factor S = _cross, the
-    factors a flip changes are those of its own position, and in the last
-    two positions these form one pair or one single array, into which both
-    flips are summed.  So a term is an (M-subset, order, flips of the
-    positions before N - 2): 12 terms instead of 24 at (N, M) = (3, 2), 96
-    instead of 384 at (4, 4).  Each term's own arrays are released before
-    the next is built; the S arrays of unfolded positions are kept for the
-    call.
+    singles[d][k_d]: the partial symmetrization over M-subsets, their
+    orders and the flips w -> 1/(q w) of the moved variables (none at q = 0,
+    where y must be separated), folded: since S(a, 1/(q b)) = S(a, b) for
+    the scattering factor S = _cross, the factors a flip changes are those
+    of its own position, and in the last two positions these form one pair
+    or one single array, into which both flips are summed.  So a term is an
+    (M-subset, order, flips of the positions before N - 2): 12 terms instead
+    of 24 at (N, M) = (3, 2), 96 instead of 384 at (4, 4).  Each term's own
+    arrays are released before the next is built; the S arrays of unfolded
+    positions are kept for the call.
     """
     y = as_config(y)
     n, m = len(nodes), len(y)
     q, alpha = params.q, params.alpha
     coef = alpha ** (n - m)
-    if q == 0.0:
-        # Pf [[A, B], [-B^T, 0]], A_ab = (w_a - w_b)/(1 - w_a w_b), B = (ones column
-        # if N + M is odd, g_k(w_a)), expanded over the rows sigma(c) that B's columns
-        # meet.  By Schur's identity the rest of A has the Pfaffian prod A_ab, which
-        # cancels against the prefactor prod 1/A_ab.
-        ones = (n + m) % 2
-        inv_a = {(a, b): (1.0 - nodes[a][:, None] * nodes[b]) / (nodes[a][:, None] - nodes[b])
-                 for a, b in combinations(range(n), 2)}
-        g = [[(1.0 - alpha + alpha * w) * w ** (n - k) / (1.0 - w) ** y[k] for k in range(m)]
-             for w in nodes]
-        base = (-1) ** (math.comb(m, 2) + math.comb(m + ones, 2))
-        for sigma in permutations(range(n), m + ones):
-            rest = [d for d in range(n) if d not in sigma]
-            pairs = {ab: f for ab, f in inv_a.items() if not set(ab) <= set(rest)}
-            singles = {d: g[d][k] for k, d in enumerate(sigma[ones:])}
-            yield base * _parity(rest + list(sigma)) * coef, pairs, singles
-        return
     # a pair factor S(v_p, v_e) depends only on the flip of the earlier position
     # p, so a later variable enters unflipped: S(v_p, w_e)
-    signed = [(w, 1.0 / (q * w)) for w in nodes]  # w and 1/(q w)
+    sides = (0, 1) if q else (0,)  # at q = 0 no flip: see asep_transition_batch
+    signed = [(w, 1.0 / (q * w)) if q else (w,) for w in nodes]  # w and 1/(q w)
     fold = max(n - 2, 0)  # moved positions from here on have their flips summed
     memo = {}  # the S arrays of unfolded positions, kept for the call
 
@@ -295,7 +279,7 @@ def _terms(y, nodes, params):
                     fpairs[min(d, e), max(d, e)] = folded(d, e, y[p])
                 else:
                     fsingles[d] = sum(_phi_y(v, y[p], q, alpha) for v in signed[d])
-            for flips in product((0, 1), repeat=min(fold, m)):
+            for flips in product(sides, repeat=min(fold, m)):
                 pairs, singles = dict(fpairs), dict(fsingles)
                 for p, s in enumerate(flips):
                     d = order[p]
@@ -440,8 +424,11 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=NODE_START, to
     pos = [{v: i for i, v in enumerate(vs)} for vs in sites]
     diag = {}
     if params.q == 0.0 and not _separated(y, n):
-        # The q = 0 symmetrization limit only has its simple Pfaffian form
-        # for well-separated initial data, so a pass Richardson-extrapolates
+        # A flip at position p carries phi_y(1/(q w)) = O(q^(y_p - 1)) and
+        # S(1/(q w), w_e) = O(1/q) for each of its N - 1 - p later variables,
+        # so a flipped term is O(q^(y_p - N + p)) (p from 0).  Separated y
+        # (y_M > N - M + 1) puts every exponent at 1 or more, and the q = 0
+        # terms are the unflipped ones.  Otherwise a pass Richardson-extrapolates
         # four legs at q = 0.015 k to q = 0, and the ladder certifies the
         # quadrature of the combination, not its extrapolation error.  At
         # small q the integrand roughens (the flip-cross factor has a q^-k

@@ -193,9 +193,8 @@ def _cmd_gt_sum(args):
     params = _params(args)
     x = _parse_config(args.x)
     y = _parse_config(args.y)
-    value, remainder = tf.gt_pattern_sum(
-        x, y, args.t, params, z_max=args.z_max, cap=args.cap
-    )
+    z_max = tf.suggest_z_max(x, args.t) if args.z_max is None else args.z_max
+    value, remainder = tf.gt_pattern_sum(x, y, args.t, params, z_max=z_max, cap=args.cap)
     _emit(
         args,
         {
@@ -207,7 +206,7 @@ def _cmd_gt_sum(args):
             "x": list(x),
             "value": value,
             "truncation_remainder": remainder,
-            "z_max": args.z_max or tf.suggest_z_max(x, args.t),
+            "z_max": z_max,
         },
     )
 

@@ -180,10 +180,6 @@ class GTPattern:
             raise ValueError("rows do not interlace")
 
     @property
-    def size(self):
-        return len(self.rows)
-
-    @property
     def top(self):
         return self.rows[-1]
 

@@ -24,6 +24,7 @@ from hsep.asep_integral import (
 from hsep.kernels import ModelParams
 from hsep.markov_oracle import oracle_distribution, transition_probability_exact
 from hsep.numerics import QuadratureError, default_nested_contours
+from hsep.pfaffian import pfaffian
 from hsep.tasep_formulas import tasep_transition_probability
 
 P = ModelParams(q=0.4, alpha=0.6, gamma=0.0, t=1.0)
@@ -131,6 +132,29 @@ class TestEvalF:
             v2 = eval_F(y, w, ModelParams(q=5e-5, alpha=0.6, gamma=0.0, t=1.0))
             extrap = 2.0 * v2 - v1
             assert abs(extrap - lim) < 1e-6 * max(abs(lim), 1.0)
+
+    def test_pfaffian_limit_is_block_pfaffian(self):
+        # the paper's q = 0 form, which production sums as the unflipped
+        # partial symmetrization: (-1)^C(M,2) alpha^(N-M) Pf[[A, B], [-B^T, 0]]
+        # / prod_{a<b} A_ab, A_ab = (w_a - w_b)/(1 - w_a w_b), and B a ones
+        # column if N + M is odd, then g_k(w) = (1 - alpha + alpha w)
+        # w^(N-k+1) / (1 - w)^(y_k) for k = 1..M
+        rng = np.random.default_rng(12)
+        for n in range(1, 6):
+            for m in range(n + 1):
+                y = tuple(int(v) + n - m + 1 for v in np.cumsum(rng.integers(1, 3, size=m))[::-1])
+                alpha = rng.uniform(0.2, 1.6)
+                w = alphabet(rng, n)
+                a = (w[:, None] - w) / (1.0 - w[:, None] * w)
+                ones = (n + m) % 2
+                b = np.ones((n, ones + m), dtype=complex)
+                for k in range(1, m + 1):
+                    b[:, ones + k - 1] = (1 - alpha + alpha * w) * w ** (n - k + 1) / (1 - w) ** y[k - 1]
+                zero = np.zeros((ones + m, ones + m))
+                pf = pfaffian(np.block([[a, b], [-b.T, zero]]))
+                expected = (-1) ** math.comb(m, 2) * alpha ** (n - m) * pf / np.prod(a[np.triu_indices(n, 1)])
+                got = eval_F_pfaffian_limit(y, w, ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=1.0))
+                assert abs(got - expected) <= 1e-11 * abs(expected), (n, y)
 
 
 class TestSymmetrizationIdentities:

@@ -18,6 +18,7 @@ from hsep.pfaffian import pfaffian
 from hsep.tasep_formulas import (
     boundary_current_probability,
     joint_distribution,
+    suggest_z_max,
     tasep_transition_probability,
 )
 
@@ -87,6 +88,31 @@ class TestSubcommands:
         assert int(diag["diagnostics.nodes"]) in (48, 72, 108, 162, 243, 365)
         assert 0.0 <= float(diag["diagnostics.last_delta"]) <= 1e-7
 
+    def test_asep_prob_q_zero_with_oracle(self, capsys):
+        # q = 0 with y = (4) separated for N = 2: the partial symmetrization
+        # without its flips, against the uniformization oracle
+        rc, out = run_cli(
+            ["asep-prob", "--y", "4", "--x", "5,3", "--alpha", "0.6", "--t", "0.5", "--oracle"],
+            capsys,
+        )
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["q"] == 0.0 and "q_extrapolated" not in payload["diagnostics"]
+        assert payload["oracle_tail_bound"] < 1e-9
+        assert payload["difference"] < 1e-12
+
+    @pytest.mark.parametrize("n, s_max", [(2, None), (30, 10)])
+    def test_current_with_oracle(self, capsys, n, s_max):
+        # n = 30 lies beyond the oracle's particle-count table, which reads 0
+        args = ["current", "--n", str(n), "--t", "1", "--alpha", "0.5", "--oracle"]
+        rc, out = run_cli(args + (["--s-max", str(s_max)] if s_max else []), capsys)
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["oracle_tail_bound"] < 1e-8
+        assert payload["difference"] < 1e-12
+        if n == 30:
+            assert payload["oracle"] == 0.0 and 0.0 <= payload["value"] < 1e-100
+
     def test_joint_and_current(self, capsys):
         rc, out = run_cli(
             ["joint", "--s", "3,1", "--t", "1", "--alpha", "0.5"], capsys
@@ -105,6 +131,13 @@ class TestSubcommands:
         assert rc == 0
         payload = json.loads(out)
         assert payload["truncation_remainder"] < 1e-8
+
+    def test_gt_reports_the_z_max_it_used(self, capsys):
+        rc, out = run_cli(["gt-sum", "--x", "", "--z-max", "0", "--alpha", "0.5", "--t", "1"], capsys)
+        assert rc == 0
+        assert json.loads(out)["z_max"] == 0
+        rc, out = run_cli(["gt-sum", "--x", "3,1", "--alpha", "0.5", "--t", "1"], capsys)
+        assert json.loads(out)["z_max"] == suggest_z_max((3, 1), 1.0)
 
     def test_conditional(self, capsys):
         rc, out = run_cli(
