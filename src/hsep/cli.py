@@ -359,10 +359,14 @@ def build_parser():
     s.set_defaults(fn=_cmd_conditional)
 
     s = subs.add_parser("oracle", help="exact distribution by uniformization")
-    s.add_argument("--y", default="")
+    s.add_argument("--y", default="", help="initial configuration, e.g. '4,2' ('' = empty)")
     s.add_argument("--x", default=None, help="target configuration (omit for the full table)")
     _add_common(s, q=True, gamma=True)
-    s.add_argument("--s-max", type=int, default=None)
+    s.add_argument(
+        "--s-max", type=int, default=None,
+        help="lattice cutoff, at most 24 (default: default_cutoff(y, t), the top site "
+        "of y plus ceil(t + 8 sqrt(t) + 4))",
+    )
     s.set_defaults(fn=_cmd_oracle)
 
     s = subs.add_parser("simulate", help="continuous-time Monte Carlo")

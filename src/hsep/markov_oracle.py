@@ -7,7 +7,8 @@ Two independent oracles, both on configurations stored as occupancy masks
   truncated lattice (probability that leaks past the cutoff is absorbed and
   reported as a rigorous tail bound).  Every move shifts the site sum by
   +-1, so only the states within n of the initial site sum, n the number of
-  Poisson steps, are ever propagated;
+  Poisson steps, are ever propagated.  The last window generator is kept, and
+  a later call at the same cutoff and rates whose band it holds reuses it;
 * a continuous-time Monte Carlo (Gillespie) simulator on 62 sites, one uint64
   mask per trajectory, stepping a shrinking live set of trajectories at once;
   counter-based randomness makes a fixed seed reproduce bit-identical counts
@@ -186,6 +187,24 @@ def _window_generator(masks, s_max, q, alpha, gamma):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+_last_window = None  # (key, lo, hi, masks, qt): the last window generator built
+
+
+def _reused_window(s_max, params, lo, hi):
+    """(masks, qt) for the band [lo, hi], clipped to the sums the box reaches:
+    the kept pair if built at the same s_max and rates on a band holding it,
+    else a new pair, which replaces it."""
+    global _last_window
+    key = (s_max, params.q, params.alpha, params.gamma)
+    lo, hi = max(lo, 0), min(hi, s_max * (s_max + 1) // 2)
+    entry = _last_window
+    if entry is None or entry[0] != key or not entry[1] <= lo <= hi <= entry[2]:
+        entry = _last_window = None  # one generator alive at a time
+        masks = _window(s_max, lo, hi)
+        entry = _last_window = (key, lo, hi, masks, _window_generator(masks, s_max, *key[1:]))
+    return entry[3], entry[4]
+
+
 @dataclass
 class OracleDistribution:
     """Exact time-t distribution over the truncated state space (t = params.t)."""
@@ -236,6 +255,12 @@ def oracle_distribution(y, t, params: ModelParams, s_max=None, poisson_tol=1e-13
     propagated again, so the window is exact.  The reported tail_bound covers
     both the Poisson truncation and the probability absorbed at the lattice
     cutoff.  probs is dense over all 2^s_max masks.
+
+    The last window generator built is kept, and it serves this call when it
+    was built at the same s_max, q, alpha and gamma on a band holding this
+    one; else a new one is built and kept.  The values are bit-identical:
+    a state of the wider band outside this one lies more than n moves from y,
+    so it stays exactly 0.0, and the diagonal is the full exit rate.
     """
     params = params.at(t)
     y = as_config(y)
@@ -267,8 +292,7 @@ def oracle_distribution(y, t, params: ModelParams, s_max=None, poisson_tol=1e-13
         weights.append(w)
         kept += w
     steps = len(weights) - 1
-    masks = _window(s_max, sum(y) - steps, sum(y) + steps)
-    qt = _window_generator(masks, s_max, params.q, params.alpha, params.gamma)
+    masks, qt = _reused_window(s_max, params, sum(y) - steps, sum(y) + steps)
     v = np.zeros(len(masks))
     v[np.searchsorted(masks, config_to_mask(y))] = 1.0
     out = weights[0] * v

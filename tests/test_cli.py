@@ -194,6 +194,14 @@ class TestSubcommands:
             "bcd8fa87ef3af3e71f4cc3c2f9df53193b4dcaa8934e47754dfd64f605cd9b89"
         )
 
+    def test_oracle_help_names_the_cutoff(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--y Y initial configuration" in out
+        assert "--s-max S_MAX lattice cutoff, at most 24 (default: default_cutoff(y, t)" in out
+
     def test_csv_format(self, capsys):
         rc, out = run_cli(
             [

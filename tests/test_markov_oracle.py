@@ -220,6 +220,98 @@ class TestUniformization:
         assert payload["entries"][0]["config"] == []
 
 
+class TestWindowReuse:
+    """The last window generator is reused by calls at the same cutoff and
+    rates whose site-sum band it holds."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        from hsep import markov_oracle as mo
+
+        monkeypatch.setattr(mo, "_last_window", None)
+        builds = []  # (s_max, q, alpha, gamma) of each generator built
+        build = mo._window_generator
+
+        def counted(masks, *key):
+            builds.append(key)
+            return build(masks, *key)
+
+        monkeypatch.setattr(mo, "_window_generator", counted)
+        return builds
+
+    def test_values_do_not_depend_on_call_history(self, monkeypatch):
+        from hsep import markov_oracle as mo
+
+        # (s_max, q, alpha, gamma, y, t, poisson_tol), each against a cold
+        # build; each change of a key field lowers Lambda, so the band shrinks
+        # and only the key tells the calls apart
+        calls = [
+            (10, 0.3, 0.9, 0.2, (4, 2, 1), 1.0, 1e-13),
+            (10, 0.3, 0.9, 0.2, (3, 1), 0.4, 1e-13),  # contained band, another t
+            (10, 0.3, 0.9, 0.2, (9, 8, 7), 1.0, 1e-13),  # wider band
+            (10, 0.3, 0.9, 0.2, (2,), 1.0, 1e-6),  # mass on the rim
+            (9, 0.3, 0.9, 0.2, (4, 2, 1), 1.0, 1e-13),  # s_max
+            (9, 0.0, 0.9, 0.2, (4, 2, 1), 1.0, 1e-13),  # q
+            (9, 0.0, 0.5, 0.2, (4, 2, 1), 1.0, 1e-13),  # alpha
+            (9, 0.0, 0.5, 0.0, (4, 2, 1), 1.0, 1e-13),  # gamma
+            (9, 0.0, 0.5, 0.0, (), 0.7, 1e-6),
+        ]
+
+        def run(s_max, q, alpha, gamma, y, t, tol):
+            p = ModelParams(q=q, alpha=alpha, gamma=gamma, t=t)
+            return oracle_distribution(y, t, p, s_max=s_max, poisson_tol=tol)
+
+        builds = self._count_builds(monkeypatch)
+        warm = [run(*c) for c in calls]
+        assert len(builds) == 6  # calls 2, 4 and 9 reuse the last generator
+        for c, dist in zip(calls, warm):
+            mo._last_window = None
+            cold = run(*c)
+            assert np.array_equal(dist.probs, cold.probs)
+            assert dist.tail_bound == cold.tail_bound
+
+    def test_one_generator_is_kept(self):
+        import gc
+        import tracemalloc
+        import weakref
+
+        from hsep import markov_oracle as mo
+
+        oracle_distribution((3, 1), 2.0, ModelParams(q=0.3, alpha=0.2, gamma=0.2, t=2.0), s_max=9)
+        first = weakref.ref(mo._last_window[4])
+        oracle_distribution((3, 1), 2.0, ModelParams(q=0.3, alpha=0.3, gamma=0.2, t=2.0), s_max=9)
+        assert first() is None
+        # every band at s_max = 9 and t = 2 is the whole box: 512 states and
+        # a generator of about 46 kB, which a second entry would add
+        sizes = []
+        tracemalloc.start()
+        try:
+            for k in range(50):
+                p = ModelParams(q=0.3, alpha=0.4 + 0.02 * k, gamma=0.2, t=2.0)
+                oracle_distribution((3, 1), 2.0, p, s_max=9)
+                gc.collect()
+                sizes.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert max(sizes) - sizes[0] <= 32 * 1024
+
+    def test_one_build_for_the_small_subsets(self, monkeypatch):
+        # (3, 2, 1) has the largest site sum of the subsets of {1, 2, 3}, so
+        # its band holds the bands of the other seven
+        builds = self._count_builds(monkeypatch)
+        p = ModelParams(q=0.3, alpha=0.9, gamma=0.2, t=0.4)
+        for y in ((3, 2, 1), (), (1,), (2,), (3,), (2, 1), (3, 1), (3, 2)):
+            oracle_distribution(y, 0.4, p, s_max=13)
+        assert len(builds) == 1
+        oracle_distribution((), 0.3, p, s_max=13)  # t is no part of the key
+        assert len(builds) == 1
+        for s_max, q, alpha, gamma in ((12, 0.3, 0.9, 0.2), (12, 0.0, 0.9, 0.2),
+                                       (12, 0.0, 0.5, 0.2), (12, 0.0, 0.5, 0.0)):
+            oracle_distribution((), 0.4, ModelParams(q=q, alpha=alpha, gamma=gamma, t=0.4), s_max=s_max)
+            assert builds[-1] == (s_max, q, alpha, gamma)
+        assert len(builds) == 5
+
+
 class TestSimulator:
     def test_alpha_zero_stays_put(self):
         p = ModelParams(q=0.0, alpha=0.0, gamma=0.0, t=1.0)
