@@ -5,10 +5,13 @@ subset of particle positions is Pf(J - chi K chi) for an explicit 2x2-block
 kernel K.  Its finite-rank part depends on the kernel pairings only through
 the inverse of their bordered Gram matrix G, so it is one linear solve; the
 paper's skew-biorthogonal polynomials are one factorization of G^-1.  The
-threshold projection chi makes the Pfaffian finite.  This demo prints the
-Gram certificate, compares kernel blocks with a brute-force construction,
-evaluates conditional probabilities against the exact Markov oracle, and
-runs the full-space reduction where the Pfaffian becomes a determinant.
+threshold projection chi makes the Pfaffian finite.  The library's
+`conditional_distribution` evaluates the same law as a ratio of two joint
+distributions, each one Pfaffian; it needs no G and covers every parity of
+N + M.  This demo prints the Gram certificate, compares kernel blocks with a
+brute-force construction, evaluates conditional probabilities on both paths
+against the exact Markov oracle, and runs the full-space reduction where the
+Pfaffian becomes a determinant.
 """
 
 import numpy as np
@@ -33,10 +36,15 @@ params = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
 # refused.
 gram = build_skew_biorthogonal(4, 2, (9, 7), params)
 print("Gram certificate (N=4, M=2, y=(9,7)):", gram.residuals)
+p04 = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=0.4)
 try:
-    build_skew_biorthogonal(4, 0, (), ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=0.4))
+    build_skew_biorthogonal(4, 0, (), p04)
 except ArithmeticError as exc:
     print("N=4, M=0, t=0.4 refused:", exc)
+print(
+    "  the ratio there, P[X(1) > 4 | |X_t| = 4]:",
+    conditional_distribution((1,), (4,), 4, 0, (), 0.4, p04),
+)
 
 # At M = 0, G is the moment matrix script-N.  Its skew-Borel factorization
 # N = R J R^T gives N^-1 = R^-T J^-1 R^-1: the rows of R^-1 are the
@@ -62,18 +70,30 @@ print("largest difference from brute force:", np.max(np.abs(blk - blk_brute)))
 # Conditional probabilities for empty initial data, N = 2.
 dist = oracle_distribution((), 1.0, params, s_max=17)
 print("\nP[X(p) > a | |X_t| = 2], empty initial data:")
+kern20 = conditional_kernel(2, 0, (), params)
 for labels, thresholds in (((1,), (3,)), ((2,), (1,)), ((1, 2), (4, 2))):
     f = conditional_distribution(labels, thresholds, 2, 0, (), 1.0, params)
+    k = kern20.gap_probability(labels, thresholds)
     o, _ = conditional_event_probability(dist, 2, labels, thresholds)
-    print(f"  p={labels} a={thresholds}: pfaffian {f:.10f} oracle {o:.10f}")
+    print(f"  p={labels} a={thresholds}: ratio {f:.10f} fredholm {k:.10f} oracle {o:.10f}")
 
 # The odd case N = 3, M = 1 works through the same kernels.
 dist31 = oracle_distribution((6,), 1.0, params, s_max=17)
+kern31 = conditional_kernel(3, 1, (6,), params)
 print("\nN=3, M=1, y=(6):")
 for labels, thresholds in (((2,), (2,)), ((2, 3), (4, 1))):
     f = conditional_distribution(labels, thresholds, 3, 1, (6,), 1.0, params)
+    k = kern31.gap_probability(labels, thresholds)
     o, _ = conditional_event_probability(dist31, 3, labels, thresholds)
-    print(f"  p={labels} a={thresholds}: pfaffian {f:.10f} oracle {o:.10f}")
+    print(f"  p={labels} a={thresholds}: ratio {f:.10f} fredholm {k:.10f} oracle {o:.10f}")
+
+# With N + M odd the kernel is not built; the ratio still answers.
+dist30 = oracle_distribution((), 1.0, params, s_max=14)
+print("\nN=3, M=0 (N + M odd):")
+for labels, thresholds in (((1,), (4,)), ((2, 3), (4, 2))):
+    f = conditional_distribution(labels, thresholds, 3, 0, (), 1.0, params)
+    o, _ = conditional_event_probability(dist30, 3, labels, thresholds)
+    print(f"  p={labels} a={thresholds}: ratio {f:.10f} oracle {o:.10f}")
 
 # Thresholds at zero give probability 1, and the law is monotone in each a.
 print(
@@ -92,8 +112,12 @@ y = (5, 3)
 det_path = fullspace_distribution((1, 2), (6, 4), y, 1.0)
 for alpha in (0.0, 0.5):
     p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=1.0)
-    pf_path = conditional_distribution((1, 2), (6, 4), 2, 2, y, 1.0, p)
-    print(f"\nM=N at alpha={alpha}: Pf path {pf_path:.12f} det path {det_path:.12f}")
+    pf_path = conditional_kernel(2, 2, y, p).gap_probability((1, 2), (6, 4))
+    ratio = conditional_distribution((1, 2), (6, 4), 2, 2, y, 1.0, p)
+    print(
+        f"\nM=N at alpha={alpha}: Pf path {pf_path:.12f} ratio {ratio:.12f} "
+        f"det path {det_path:.12f}"
+    )
 
 # Full-space initial data may live anywhere on Z; the law is translation
 # covariant.

@@ -216,8 +216,7 @@ def _cmd_conditional(args):
     y = _parse_config(args.y)
     labels = [int(v) for v in args.p.split(",")]
     thresholds = [int(v) for v in args.a.split(",")]
-    kernel = cond.conditional_kernel(args.n, len(y), y, params)
-    value = kernel.gap_probability(labels, thresholds)
+    value = cond.conditional_distribution(labels, thresholds, args.n, len(y), y, args.t, params)
     payload = {
         "command": "conditional",
         "conditional": {
@@ -226,14 +225,14 @@ def _cmd_conditional(args):
             "N": args.n,
             "M": len(y),
             "value": value,
-            "residuals": kernel.gram.residuals,
         },
     }
     if args.oracle:
         dist = orc.oracle_distribution(y, args.t, params, args.s_max)
-        o, _ = orc.conditional_event_probability(dist, args.n, labels, thresholds)
+        o, total = orc.conditional_event_probability(dist, args.n, labels, thresholds)
+        # the escaped mass over the conditioning event's box mass bounds a conditional value
         payload["conditional"].update(
-            oracle=o, oracle_tail_bound=dist.tail_bound, difference=abs(value - o)
+            oracle=o, oracle_tail_bound=dist.tail_bound / total, difference=abs(value - o)
         )
     _emit(args, payload)
 

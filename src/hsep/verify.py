@@ -235,16 +235,18 @@ def _kernel_recurrences():
 
 def _conditional_distribution():
     p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0)
-    worst = 0.0
+    worst = worst_r = 0.0
     for n, y, events in (
         (2, (), (((1,), (4,)), ((2,), (2,)), ((2,), (4,)), ((1, 2), (4, 2)), ((1, 2), (3, 3)))),
         (3, (6,), (((2,), (3,)), ((3,), (2,)), ((1, 3), (4, 2)), ((2, 3), (4, 1)))),
     ):
         dist = orc.oracle_distribution(y, 1.0, p, s_max=17)
         for labels, thr in events:
-            f = cond.conditional_distribution(labels, thr, n, len(y), y, 1.0, p)
+            f = cond.conditional_kernel(n, len(y), y, p).gap_probability(labels, thr)
             o, _ = orc.conditional_event_probability(dist, n, labels, thr)
             worst = max(worst, abs(f - o))
+            ratio = cond.conditional_distribution(labels, thr, n, len(y), y, 1.0, p)
+            worst_r = max(worst_r, abs(ratio - f))
     worst_k = 0.0
     for n, y, x_max, x1s, x2s in (
         (2, (), 16, range(1, 7), range(1, 7)),
@@ -261,6 +263,7 @@ def _conditional_distribution():
     return [
         ("conditional-pfaffian-vs-oracle", worst, 1e-6),
         ("conditional-kernel-brute-vs-analytic", worst_k, 1e-7),
+        ("conditional-ratio-vs-fredholm", worst_r, 1e-10),
     ]
 
 
@@ -277,7 +280,7 @@ def _fullspace_reduction():
     worst_fd = 0.0
     for alpha in (0.0, 0.5):
         p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=1.0)
-        f_pf = cond.conditional_distribution((1, 2), (6, 4), 2, 2, (5, 3), 1.0, p)
+        f_pf = cond.conditional_kernel(2, 2, (5, 3), p).gap_probability((1, 2), (6, 4))
         f_det = cond.fullspace_distribution((1, 2), (6, 4), (5, 3), 1.0)
         worst_fd = max(worst_fd, abs(f_pf - f_det))
     return [

@@ -14,6 +14,7 @@ from hsep import verify
 from hsep.asep_integral import asep_transition_batch
 from hsep.cli import main
 from hsep.kernels import ModelParams
+from hsep.markov_oracle import conditional_event_probability, oracle_distribution
 from hsep.pfaffian import pfaffian
 from hsep.tasep_formulas import (
     boundary_current_probability,
@@ -149,8 +150,11 @@ class TestSubcommands:
         )
         assert rc == 0
         payload = json.loads(out)["conditional"]
-        assert payload["residuals"] == {"gram_cond": 1.0}
-        assert payload["oracle_tail_bound"] < 1e-9
+        assert "residuals" not in payload  # the Gram certificate belongs to the kernel path
+        # the escaped mass bounds a conditional value relative to P_box(|X_t| = N)
+        dist = oracle_distribution((), 1.0, ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=1.0))
+        _, total = conditional_event_probability(dist, 2, (2,), (1,))
+        assert payload["oracle_tail_bound"] == dist.tail_bound / total < 1e-9
         assert payload["difference"] < 1e-9
 
     def test_oracle_and_simulate(self, capsys):
@@ -390,11 +394,21 @@ class TestExitCodes:
         assert "underflows" in capsys.readouterr().err
 
     def test_conditional_ill_conditioned_is_4(self, capsys):
-        rc = main(
-            ["conditional", "--n", "4", "--p", "1", "--a", "4", "--alpha", "0.5", "--t", "0.4"]
+        # cond(S G S) ~ 1e7 refuses the kernel here, but not the joint Pfaffians
+        rc, out = run_cli(
+            ["conditional", "--n", "4", "--p", "1", "--a", "4", "--alpha", "0.5", "--t", "0.4"],
+            capsys,
         )
+        assert rc == 0
+        p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=0.4)
+        dist = oracle_distribution((), 0.4, p, poisson_tol=0.0)
+        want, _ = conditional_event_probability(dist, 4, (1,), (4,))
+        assert abs(json.loads(out)["conditional"]["value"] - want) < 1e-8
+
+    def test_conditional_underflow_is_4(self, capsys):
+        rc = main(["conditional", "--n", "2", "--p", "1", "--a", "4", "--alpha", "0.5", "--t", "760"])
         assert rc == 4
-        assert "condition number" in capsys.readouterr().err
+        assert "underflows" in capsys.readouterr().err
 
     def test_asep_quadrature_unconverged_is_4(self, capsys):
         # the integrand reaches e^(t/r_1) ~ 1e14 on C_1 at t = 5, and its

@@ -52,16 +52,16 @@ class TestFamilies:
         for alpha in (0.3, 1.6):
             p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=2.9)
             assert build_skew_biorthogonal(5, 5, y, p).residuals["gram_cond"] < 2e5
+            vals.append(conditional_kernel(5, 5, y, p).gap_probability((1, 5), (1, 3)))
             vals.append(conditional_distribution((1, 5), (1, 3), 5, 5, y, 2.9, p))
-        assert abs(vals[0] - vals[1]) < 1e-12
+        assert np.ptp(vals) < 1e-12
 
     def test_ill_conditioned_gram_refused(self):
-        # (N, M) = (4, 0) at t = 0.4: cond(G) ~ 1e7
+        # (N, M) = (4, 0) at t = 0.4: cond(G) ~ 1e7; conditional_distribution
+        # answers the cell without G (test_cells_the_kernel_cannot_build_vs_oracle)
         p = ModelParams(q=0.0, alpha=0.5, gamma=0.0, t=0.4)
         with pytest.raises(ArithmeticError, match="condition number"):
             build_skew_biorthogonal(4, 0, (), p)
-        with pytest.raises(ArithmeticError):
-            conditional_distribution((1,), (4,), 4, 0, (), 0.4, p)
 
     def test_explicit_inverse_path_matches(self):
         # the skew-Borel factor of the moment matrix (one factorization of
@@ -249,7 +249,64 @@ class TestKernelAgreement:
         assert blk[0, 1] == 0.0
 
 
+def _oracle_conditional(dist, n, events):
+    """conditional_event_probability of each event, from one gather of the
+    box's n-particle configurations (each row decreasing)."""
+    sites = np.array(list(combinations(range(dist.s_max, 0, -1), n)))
+    probs = dist.probs[(1 << (sites - 1)).sum(axis=1)]
+    return [
+        probs[np.all(sites[:, np.subtract(labels, 1)] > thr, axis=1)].sum() / probs.sum()
+        for labels, thr in events
+    ]
+
+
 class TestConditionalDistribution:
+    @pytest.mark.parametrize(
+        "alpha, n, y, t, s_max, poisson_tol, tol",
+        [
+            # N + M odd, where the kernel is not built
+            (0.7, 3, (), 1.0, None, 0.0, 1e-10),
+            (0.7, 2, (3,), 1.0, None, 0.0, 1e-10),
+            # poisson_tol = 0 at s_max = 22 takes 27 s, and smaller boxes miss 1e-10
+            (0.7, 5, (), 3.0, 22, 1e-13, 1e-10),
+            # cond(S G S) above GRAM_COND_MAX, where P(|X_t| = N) reaches 1e-11
+            (0.5, 4, (), 0.4, None, 0.0, 1e-8),
+            (0.7, 4, (), 0.4, None, 0.0, 1e-8),
+            (1.2, 4, (), 0.4, None, 0.0, 1e-8),
+            (1.0, 5, (6,), 0.4, None, 0.0, 1e-8),
+            (1.0, 5, (6,), 0.9, None, 0.0, 1e-10),
+        ],
+    )
+    def test_cells_the_kernel_cannot_build_vs_oracle(self, alpha, n, y, t, s_max, poisson_tol, tol):
+        # every event with one or two labels and thresholds 0, 2, 4, 6
+        events = [((p,), (a,)) for p in range(1, n + 1) for a in range(0, 8, 2)] + [
+            (labels, (a, b))
+            for labels in combinations(range(1, n + 1), 2)
+            for a in range(0, 8, 2)
+            for b in range(0, 8, 2)
+        ]
+        p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=t)
+        dist = oracle_distribution(y, t, p, s_max=s_max, poisson_tol=poisson_tol)
+        vals = [conditional_distribution(labels, thr, n, len(y), y, t, p) for labels, thr in events]
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert np.max(np.abs(np.subtract(vals, _oracle_conditional(dist, n, events)))) < tol
+
+    def test_reaches_no_gram_or_kernel(self, monkeypatch):
+        import hsep.conditional
+
+        def refuse(*args):
+            raise AssertionError("the kernel path was reached")
+
+        monkeypatch.setattr(hsep.conditional, "build_skew_biorthogonal", refuse)
+        monkeypatch.setattr(hsep.conditional, "ConditionalKernel", refuse)
+        dist = oracle_distribution((6,), 1.0, P, s_max=17)
+        f = conditional_distribution((2, 3), (4, 2), 3, 1, (6,), 1.0, P)
+        assert abs(f - conditional_event_probability(dist, 3, (2, 3), (4, 2))[0]) < 1e-9
+
+    def test_refuses_impossible_conditioning(self):
+        with pytest.raises(ArithmeticError, match="not positive"):
+            conditional_distribution((1,), (2,), 2, 0, (), 0.0, P)
+
     def test_non_finite_gap_probability_refused(self, monkeypatch):
         import hsep.conditional
 
