@@ -27,8 +27,9 @@ print(f"GT patterns with left edge (3,1), entries <= 12: {len(pats)}")
 print("first three:", [p.rows for p in pats[:3]])
 
 # Summing the Pfaffian weights over all patterns recovers the one-shot
-# Pfaffian transition probability (even, odd, and initial-data cases).
-for (x, y) in (((3, 1), ()), ((4, 2, 1), ()), ((5, 2), (6, 4))):
+# Pfaffian transition probability (even, odd, and initial-data cases; an odd
+# N + M with initial data borders the weights with the p column, then Xi).
+for (x, y) in (((3, 1), ()), ((4, 2, 1), ()), ((5, 2), (6, 4)), ((6, 3), (5,))):
     v, remainder = gt_pattern_sum(x, y, 0.8, params)
     f = tasep_transition_probability(y, x, 0.8, params)
     print(

@@ -44,7 +44,8 @@ from .kernels import (
 )
 from .markov_oracle import as_config, require_event
 from .pfaffian import pfaffian, symplectic_j
-from .tasep_formulas import _probability, _real, joint_distribution, require_well_separated
+from .tasep_formulas import _probability, _real, boundary_current_probability
+from .tasep_formulas import joint_distribution, require_well_separated
 
 __all__ = [
     "moment_matrix",
@@ -226,15 +227,15 @@ def conditional_kernel(n, m, y, params: ModelParams):
 def conditional_distribution(p_labels, a_thresholds, n, m, y, t, params: ModelParams):
     """P[X_t(p_k) > a_k for all k | |X_t| = N].  As X_t(1) > ... > X_t(N) >= 1,
     the event is {X_t(k) >= s_k for all k}, s_k = max(N - k + 1, a_j + 1 + p_j - k
-    over p_j >= k), so this is joint_distribution(y, s) over P(|X_t| = N) =
-    joint_distribution(y, (N, ..., 1)), refused (ArithmeticError) unless > 0."""
+    over p_j >= k), so this is joint_distribution(y, s) over P(|X_t| = N), the
+    joint law at (N, ..., 1), refused (ArithmeticError) unless > 0."""
     params = params.at(t)
     y = require_well_separated(y, n)
     if len(y) != m:
         raise ValueError("y must have M parts")
     pairs = list(zip(*require_event(p_labels, a_thresholds, n)))
     s = [max([n - k + 1] + [a + 1 + p - k for p, a in pairs if p >= k]) for k in range(1, n + 1)]
-    den = joint_distribution(y, range(n, 0, -1), t, params)
+    den = boundary_current_probability(n, y, t, params)
     if not den > 0.0:
         raise ArithmeticError(f"P(|X_t| = {n}) = {den:g} is not positive")
     return _probability(joint_distribution(y, s, t, params) / den)

@@ -2,13 +2,13 @@
 
 Transition probabilities from empty and general (well separated) initial
 data, joint threshold distributions, the particle-number (boundary current)
-probability, and the Gelfand-Tsetlin decomposition of the transition
-probability as a sum of Pfaffian weights over interlacing patterns.
+probability (the joint law at (N, ..., 1)), and the Gelfand-Tsetlin
+decomposition as a sum of Pfaffian weights over interlacing patterns.
 
-Parity note: the odd-parity (N+M odd) assemblies carry a prefactor alpha
-that the even ones do not (the p-column absorbs one boundary-rate factor,
-not two like the Q block); both parities are validated against the Markov
-oracle throughout the tests.
+Parity note: every assembly borders its matrix with a p column when N + M is
+odd, and then carries a prefactor alpha that the even ones do not (the
+p column absorbs one boundary-rate factor, not two like the Q block); both
+parities are validated against the Markov oracle throughout the tests.
 """
 
 from __future__ import annotations
@@ -149,14 +149,12 @@ def joint_distribution(y, s, t, params: ModelParams):
 
 
 def boundary_current_probability(n, y, t, params: ModelParams):
-    """P(|X_t| = n | X_0 = y): the joint distribution at s_1 = ... = s_n = 1.
-
-    All thresholds equal 1; the row-reduced form of the joint distribution
-    stays valid there even though the s_k are no longer strictly decreasing.
+    """P(|X_t| = n | X_0 = y): the joint distribution at its least thresholds
+    s = (n, ..., 1), which every n-particle configuration meets.
     """
     if n < 0:
         raise ValueError(f"particle count n = {n} is negative")
-    return _pfaffian_probability(y, (1,) * n, t, params, shift=1)
+    return joint_distribution(y, range(n, 0, -1), t, params)
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +266,20 @@ def suggest_z_max(x, t):
 def _weights(tops, y, n, params):
     """Pfaffian weights of the (R, N) top rows, from one broadcast matching sum.
 
-    The matrix is the Psi block Q_{1,1}(z_i, z_j), bordered by the Xi columns
-    (M > 0) or, for N odd and M = 0, by the p column.  Each entry is an
-    R-array: Q is one block call over the distinct (z_i, z_j) pairs of all
-    column pairs, the p or Xi border is one block call over the distinct
-    sites, and only the upper triangle, the one matching_sum reads, is
-    written.  The matching sum has (d - 1)!! terms, d = N + M (plus 1 for odd
-    N with M = 0), so it suits small d.
+    The Psi block Q_{1,1}(z_i, z_j) is bordered like the transition
+    probability: the p column for N + M odd, then the Xi columns.  Each entry
+    is an R-array: Q and each border are one block call over the distinct
+    (z_i, z_j) pairs or sites, and only the upper triangle, the one
+    matching_sum reads, is written.  The matching sum has (d - 1)!! terms,
+    d = N + M (plus 1 for N + M odd), so it suits small d.
     """
     r = len(tops)
     sites, at = np.unique(tops, return_inverse=True)
     at = at.reshape(tops.shape)
+    border = [kernel_p(1, sites, params)] if (n + len(y)) % 2 else []
     if y:
         ks = np.arange(1, len(y) + 1)[:, None]
-        border = list(kernel_Xi(n, ks, np.array(y)[:, None], sites, params))
-    else:
-        border = [kernel_p(1, sites, params)] if n % 2 else []
+        border += list(kernel_Xi(n, ks, np.array(y)[:, None], sites, params))
     dim = n + len(border)
     mat = [[0.0] * dim for _ in range(dim)]
     cols = list(itertools.combinations(range(n), 2))
@@ -307,11 +303,10 @@ def gt_pattern_sum(x, y, t, params: ModelParams, z_max=None, cap=10**7):
     with the counts from _top_rows and every weight from one _weights call.
     Returns (value, remainder_estimate): the remainder is the total absolute
     weight of the patterns whose top row reaches z_max (the kernels decay
-    super-exponentially, so this bounds the truncation honestly).  N + M even
-    per the decomposition; the N odd, M = 0 case uses the p-column
-    augmentation of the odd transition-probability Pfaffian.  The empty x is
-    one pattern of weight 1.  cap bounds the number of patterns, not of top
-    rows.
+    super-exponentially, so this bounds the truncation honestly).  Any parity
+    of N + M: the weights are bordered like the transition probability, whose
+    prefactor they take with a sign (-1)^M.  The empty x is one pattern of
+    weight 1.  cap bounds the number of patterns, not of top rows.
     """
     params = params.at(t)
     params.require_tasep()
@@ -319,8 +314,6 @@ def gt_pattern_sum(x, y, t, params: ModelParams, z_max=None, cap=10**7):
     n = len(x)
     y = require_well_separated(y, n)
     m = len(y)
-    if m and (n + m) % 2 == 1:
-        raise ValueError("GT decomposition with M > 0 needs N + M even")
     if z_max is None:
         z_max = suggest_z_max(x, params.t)
     if x and z_max < x[0]:
@@ -337,18 +330,15 @@ def gt_pattern_sum(x, y, t, params: ModelParams, z_max=None, cap=10**7):
 
 
 def w_measure(rows, y, n, params: ModelParams):
-    """The triangular-array measure: product of interlacing-indicator
+    """The triangular-array measure W: product of interlacing-indicator
     determinants times the Pfaffian weight of the top row (_weights).
 
-    rows is a full triangular array (list of rows, row k of length k); the
-    measure vanishes off GT patterns whenever the left edge is strictly
-    decreasing.  N + M must be even; the empty array (N = 0) has measure 1.
-    """
+    rows is a full triangular array (row k of length k); with a strictly
+    decreasing left edge W vanishes off GT patterns, and W = 1 at N = 0.  At
+    any parity, P_t(y -> x) = (-1)^M e^(-alpha t) alpha^[N+M odd] times the
+    sum of W over the GT patterns with left edge x."""
     params.require_tasep()
     y = as_config(y)
-    m = len(y)
-    if (n + m) % 2 == 1:
-        raise ValueError("the measure is defined for N + M even")
     rows = [tuple(r) for r in rows]
     if len(rows) != n:
         raise ValueError("need N rows")

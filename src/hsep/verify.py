@@ -78,8 +78,17 @@ def _tasep_pfaffian_oracle_equivalence():
             for x in _configs(8, n):
                 f = tf.tasep_transition_probability(y, x, 1.0, p)
                 worst = max(worst, abs(f - dist.probability(x)))
+    sum_rule = 0.0  # |1 - sum_{n<60} P(|X_5| = n)|; a refused law reads 1
+    for alpha in (0.5, 1.0, 1.6):
+        law = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=5.0)
+        try:
+            total = sum(tf.boundary_current_probability(n, (), 5.0, law) for n in range(60))
+        except ArithmeticError:
+            total = 0.0
+        sum_rule = max(sum_rule, abs(1.0 - total))
     return [
         ("tasep-pfaffian-vs-oracle", worst, 1e-9),
+        ("current-law-sum-rule", sum_rule, 1e-9),
         ("tasep-pfaffian-runtime-s", time.perf_counter() - t_start, 300),
     ]
 

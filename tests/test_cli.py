@@ -133,6 +133,24 @@ class TestSubcommands:
         payload = json.loads(out)
         assert payload["truncation_remainder"] < 1e-8
 
+    def test_gt_sum_odd_parity_with_initial_data(self, capsys):
+        # N + M = 3: the p column borders the weights before the Xi column
+        args = ["--y", "5", "--x", "6,3", "--alpha", "0.6", "--t", "0.8"]
+        rc, out = run_cli(["gt-sum", *args], capsys)
+        assert rc == 0
+        _, exact = run_cli(["tasep-prob", *args], capsys)
+        assert json.loads(out)["value"] == pytest.approx(json.loads(exact)["value"], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, t, value", [(6, "5", 7.54818590500016e-05), (11, "10", 3.36357313017716e-12)]
+    )
+    def test_current_referee_values(self, capsys, n, t, value):
+        # referee values at alpha = 1; at t = 10 a refusal (exit 4) is also honest
+        rc, out = run_cli(["current", "--n", str(n), "--alpha", "1", "--t", t], capsys)
+        assert rc == 0 or (rc == 4 and t == "10")
+        if rc == 0:
+            assert abs(json.loads(out)["value"] - value) < 1e-10
+
     def test_gt_reports_the_z_max_it_used(self, capsys):
         rc, out = run_cli(["gt-sum", "--x", "", "--z-max", "0", "--alpha", "0.5", "--t", "1"], capsys)
         assert rc == 0

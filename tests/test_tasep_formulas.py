@@ -139,7 +139,7 @@ class TestJointAndCurrent:
 
     def test_minimal_packing_equals_current(self):
         v = joint_distribution((), (2, 1), 1.0, P)
-        assert abs(v - boundary_current_probability(2, (), 1.0, P)) < 1e-12
+        assert v == boundary_current_probability(2, (), 1.0, P)
 
     def test_current_vs_oracle(self):
         counts, _ = particle_count_distribution((), 1.0, P, s_max=16)
@@ -153,6 +153,13 @@ class TestJointAndCurrent:
         )
         assert abs(total - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.6])
+    def test_current_sum_rule_at_t5(self, alpha):
+        p = ModelParams(q=0.0, alpha=alpha, gamma=0.0, t=5.0)
+        law = [boundary_current_probability(n, (), 5.0, p) for n in range(60)]
+        assert min(law) >= -1e-12
+        assert abs(1.0 - sum(law)) <= 1e-9
+
     def test_shift_property(self):
         y = (8, 6)
         for n in (2, 3, 4):
@@ -162,23 +169,32 @@ class TestJointAndCurrent:
 
 
 def per_pattern_sum(x, y, t, params, z_max):
-    """Reference GT sum: one matching-sum Pfaffian per pattern's top row."""
+    """Reference GT sum: one matching-sum Pfaffian per pattern's top row,
+    bordered by the p column for N + M odd, then the Xi columns."""
     n, m = len(x), len(y)
+    odd = (n + m) % 2
     total = 0.0
     for pat in enumerate_gt_patterns(x, z_max):
         z = pat.top
-        d = n + m + (1 if m == 0 and n % 2 else 0)
+        d = n + odd + m
         mat = np.zeros((d, d))
         for i in range(n):
             for j in range(i + 1, n):
                 mat[i, j] = kernel_Q(1, 1, z[i], z[j], params)
-            for k in range(m):
-                mat[i, n + k] = kernel_Xi(n, k + 1, y[k], z[i], params)
-            if d > n + m:
+            if odd:
                 mat[i, n] = kernel_p(1, z[i], params)
+            for k in range(m):
+                mat[i, n + odd + k] = kernel_Xi(n, k + 1, y[k], z[i], params)
         total += pfaffian_definition(mat - mat.T)
     sign = (-1.0) ** (math.comb(n, 2) + m) * math.exp(-params.alpha * t)
     return sign * total * (params.alpha if (n + m) % 2 else 1.0)
+
+
+# N + M odd with M > 0: the p column borders the Psi block before the Xi columns
+ODD_M_CELLS = [
+    ((6, 3), (5,)), ((7, 5, 2, 1), (6,)), ((9, 7, 4), (8, 6)), ((7, 6, 5), (6, 5)),
+    ((9, 8, 6, 2), (8, 7, 5)),
+]
 
 
 class TestGTDecomposition:
@@ -254,7 +270,7 @@ class TestGTDecomposition:
     @pytest.mark.parametrize(
         "x, y",
         [((3, 1), ()), ((4, 2, 1), ()), ((4, 3, 2, 1), ()), ((3,), ()),
-         ((7, 5), (6, 4)), ((7, 5, 2, 1), (6, 4)), ((6, 4, 3), (5,))],
+         ((7, 5), (6, 4)), ((7, 5, 2, 1), (6, 4)), ((6, 4, 3), (5,)), *ODD_M_CELLS],
     )
     def test_grouped_sum_vs_per_pattern(self, x, y):
         p = ModelParams(q=0.0, alpha=0.7, gamma=0.0, t=1.1)
@@ -263,7 +279,7 @@ class TestGTDecomposition:
         ref = per_pattern_sum(x, y, 1.1, p, z_max)
         assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
 
-    @pytest.mark.parametrize("x, y", [((3, 1), ()), ((4, 2, 1), ()), ((5, 2), (6, 4))])
+    @pytest.mark.parametrize("x, y", [((3, 1), ()), ((4, 2, 1), ()), ((5, 2), (6, 4)), *ODD_M_CELLS])
     def test_remainder_bounds_truncation(self, x, y):
         p = ModelParams(q=0.0, alpha=0.6, gamma=0.0, t=0.8)
         f = tasep_transition_probability(y, x, 0.8, p)
@@ -304,3 +320,13 @@ class TestWMeasure:
         )
         f = tasep_transition_probability((), (3, 1), 1.0, P)
         assert abs(math.exp(-0.5) * total - f) < 1e-11
+
+    @pytest.mark.parametrize("x, y", [((4, 2, 1), ()), ((6, 3), (5,)), ((5,), ())])
+    def test_sum_identity_every_parity(self, x, y):
+        # P_t(y -> x) = (-1)^M e^(-alpha t) alpha^[N + M odd] * sum of the measure
+        p = ModelParams(q=0.0, alpha=0.7, gamma=0.0, t=0.8)
+        n, m = len(x), len(y)
+        total = sum(w_measure(pat.rows, y, n, p) for pat in enumerate_gt_patterns(x, x[0] + 12))
+        value = (-1) ** m * math.exp(-0.7 * 0.8) * 0.7 ** ((n + m) % 2) * total
+        f = tasep_transition_probability(y, x, 0.8, p)
+        assert abs(value - f) <= 1e-11 * f
