@@ -8,87 +8,4 @@ every formula against two independent oracles: exact uniformization of the
 Markov generator on a truncated lattice, and continuous-time Monte Carlo.
 """
 
-from .kernels import (
-    ModelParams,
-    kernel_p,
-    kernel_Q,
-    kernel_U,
-    kernel_Xi,
-    phi_conv,
-    phi_neg,
-    phi_virtual,
-    theta,
-)
-from .markov_oracle import (
-    as_config,
-    oracle_distribution,
-    simulate,
-    transition_probability_exact,
-)
-from .numerics import (
-    CircleContour,
-    Jet,
-    circle_quadrature,
-    residue_at,
-    validate_nested_contours,
-)
-from .pfaffian import pfaffian, skew_borel, skew_borel_explicit_inverse
-from .asep_integral import (
-    V_constant,
-    asep_transition_probability,
-    eval_F,
-)
-from .tasep_formulas import (
-    boundary_current_probability,
-    gt_pattern_sum,
-    joint_distribution,
-    tasep_transition_probability,
-    w_measure,
-)
-from .conditional import (
-    build_skew_biorthogonal,
-    conditional_distribution,
-    conditional_kernel,
-    correlation_kernel_bruteforce,
-    fullspace_distribution,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ModelParams",
-    "Jet",
-    "CircleContour",
-    "residue_at",
-    "circle_quadrature",
-    "validate_nested_contours",
-    "pfaffian",
-    "skew_borel",
-    "skew_borel_explicit_inverse",
-    "kernel_Q",
-    "kernel_p",
-    "kernel_U",
-    "kernel_Xi",
-    "phi_conv",
-    "phi_neg",
-    "phi_virtual",
-    "theta",
-    "as_config",
-    "oracle_distribution",
-    "transition_probability_exact",
-    "simulate",
-    "V_constant",
-    "eval_F",
-    "asep_transition_probability",
-    "tasep_transition_probability",
-    "joint_distribution",
-    "boundary_current_probability",
-    "gt_pattern_sum",
-    "w_measure",
-    "build_skew_biorthogonal",
-    "conditional_kernel",
-    "conditional_distribution",
-    "correlation_kernel_bruteforce",
-    "fullspace_distribution",
-    "__version__",
-]

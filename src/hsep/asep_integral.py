@@ -32,8 +32,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .kernels import ModelParams
-from .markov_oracle import as_config, generator_row
+from .kernels import ModelParams, as_config
 from .numerics import NestedContourFamily, QuadratureError, default_nested_contours
 from .tasep_formulas import _separated
 
@@ -413,6 +412,8 @@ def asep_transition_batch(y, n, xs, t, params: ModelParams, nodes=NODE_START, to
     params.require_exact()
     if nodes < 1:
         raise ValueError("nodes must be >= 1: with none, every pass sums to 0")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol!r}")
     y = as_config(y)
     xs = [as_config(x) for x in xs]
     if any(len(x) != n for x in xs):
@@ -484,6 +485,8 @@ def test_eigenvector_relation(y, w, params: ModelParams):
     sum_{y'} <y|L|y'> F_{y'}(w) should equal
     (-alpha + sum_i (1-q)^2 w_i/((1-w_i)(1-q w_i))) F_y(w).
     """
+    from .markov_oracle import generator_row  # this reference check is its only user here
+
     params.require_exact()
     y = as_config(y)
     w = [complex(v) for v in w]

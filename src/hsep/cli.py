@@ -20,11 +20,9 @@ import numpy as np
 
 from . import asep_integral as ai
 from . import conditional as cond
-from . import markov_oracle as orc
 from . import tasep_formulas as tf
-from .kernels import ModelParams
-from .numerics import ContourValidationError, QuadratureError
-from .verify import format_row, run_checks
+from .kernels import ModelParams, as_config
+from .numerics import QuadratureError
 
 SCHEMA = 1
 
@@ -39,7 +37,7 @@ def _parse_config(text):
         sites = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse configuration {text!r}; use e.g. '5,3,1'")
-    return orc.as_config(sites)
+    return as_config(sites)
 
 
 def _params(args):
@@ -92,6 +90,14 @@ def _write_table(args, text, columns):
     _write(args, text)
 
 
+def _markov_oracle():
+    # The oracle (it loads scipy.sparse) and verify (mpmath) are imported only
+    # by the commands that run them, so the exact commands load numpy alone.
+    from . import markov_oracle
+
+    return markov_oracle
+
+
 def _emit_with_oracle(args, payload, oracle):
     """_emit, adding under --oracle the oracle's value, tail bound and difference.
 
@@ -126,7 +132,8 @@ def _cmd_asep_prob(args):
         "diagnostics": diag,
     }
     _emit_with_oracle(
-        args, payload, lambda: orc.transition_probability_exact(y, x, args.t, params, args.s_max)
+        args, payload,
+        lambda: _markov_oracle().transition_probability_exact(y, x, args.t, params, args.s_max),
     )
 
 
@@ -145,7 +152,8 @@ def _cmd_tasep_prob(args):
         "value": value,
     }
     _emit_with_oracle(
-        args, payload, lambda: orc.transition_probability_exact(y, x, args.t, params, args.s_max)
+        args, payload,
+        lambda: _markov_oracle().transition_probability_exact(y, x, args.t, params, args.s_max),
     )
 
 
@@ -183,7 +191,7 @@ def _cmd_current(args):
     }
 
     def oracle():
-        counts, tail = orc.particle_count_distribution(y, args.t, params, args.s_max)
+        counts, tail = _markov_oracle().particle_count_distribution(y, args.t, params, args.s_max)
         return (counts[args.n] if args.n < len(counts) else 0.0), tail
 
     _emit_with_oracle(args, payload, oracle)
@@ -228,6 +236,7 @@ def _cmd_conditional(args):
         },
     }
     if args.oracle:
+        orc = _markov_oracle()
         dist = orc.oracle_distribution(y, args.t, params, args.s_max)
         o, total = orc.conditional_event_probability(dist, args.n, labels, thresholds)
         # the escaped mass over the conditioning event's box mass bounds a conditional value
@@ -240,7 +249,7 @@ def _cmd_conditional(args):
 def _cmd_oracle(args):
     params = _params(args)
     y = _parse_config(args.y)
-    dist = orc.oracle_distribution(y, args.t, params, args.s_max)
+    dist = _markov_oracle().oracle_distribution(y, args.t, params, args.s_max)
     if args.x is not None:
         x = _parse_config(args.x)
         _emit(
@@ -265,10 +274,13 @@ def _cmd_oracle(args):
 def _cmd_simulate(args):
     params = _params(args)
     y = _parse_config(args.y)
-    _write_table(args, orc.simulate(y, args.t, params, args.n, args.seed).to_json(), ["p", "stderr"])
+    counts = _markov_oracle().simulate(y, args.t, params, args.n, args.seed)
+    _write_table(args, counts.to_json(), ["p", "stderr"])
 
 
 def _cmd_verify(args):
+    from .verify import format_row, run_checks
+
     rows, passed = run_checks(level=args.level)
     for row in rows:
         print(format_row(row))
@@ -388,7 +400,7 @@ def main(argv=None):
     try:
         rc = args.fn(args)
         return 0 if rc is None else rc
-    except (ValueError, ContourValidationError) as exc:
+    except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except tf.PatternCapError as exc:

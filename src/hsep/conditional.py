@@ -35,14 +35,15 @@ import numpy as np
 
 from .kernels import (
     ModelParams,
+    as_config,
     kernel_Q,
     kernel_Xi,
     kernel_Xi_upper,
     kernel_Xi_virtual,
     phi_conv,
     phi_virtual,
+    require_event,
 )
-from .markov_oracle import as_config, require_event
 from .pfaffian import pfaffian, symplectic_j
 from .tasep_formulas import _probability, _real, boundary_current_probability
 from .tasep_formulas import joint_distribution, require_well_separated

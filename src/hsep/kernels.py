@@ -23,6 +23,10 @@ convolution algebra with virtual coordinates.  Torus quadrature with unequal
 radii (``tests/test_kernels.py``) and per-pole jet residues through
 ``hsep.numerics.residue_at`` (``tests/residue_oracle.py``) are the
 independent cross-check paths.
+
+The module also holds the checks on model inputs that every layer shares:
+``ModelParams`` for the rates, ``as_config`` for a configuration and
+``require_event`` for a conditioning event.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
+    "as_config",
+    "require_event",
     "KernelTable",
     "table_for",
     "kernel_Q",
@@ -78,6 +84,28 @@ class ModelParams:
         self.require_exact()
         if self.q != 0.0:
             raise ValueError("Pfaffian formulas require q = 0 (TASEP)")
+
+
+def as_config(sites):
+    """Validate and normalize a half-space configuration (decreasing sites)."""
+    c = tuple(int(s) for s in sites)
+    if any(s < 1 for s in c):
+        raise ValueError("sites must be >= 1")
+    if any(a <= b for a, b in zip(c, c[1:])):
+        raise ValueError("sites must be strictly decreasing")
+    return c
+
+
+def require_event(labels, thresholds, n):
+    """Labels p_k in 1..n paired with thresholds a_k >= 0, as two lists (else ValueError)."""
+    labels, thresholds = list(labels), list(thresholds)
+    if len(labels) != len(thresholds):
+        raise ValueError("labels and thresholds must pair up")
+    if any(not 1 <= p <= n for p in labels):
+        raise ValueError("labels must lie in 1..N")
+    if any(a < 0 for a in thresholds):
+        raise ValueError("thresholds must be >= 0")
+    return labels, thresholds
 
 
 def _poisson_weights(t):

@@ -28,11 +28,9 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 
-from .kernels import ModelParams
+from .kernels import ModelParams, as_config, require_event
 
 __all__ = [
-    "HalfSpaceConfig",
-    "as_config",
     "config_to_mask",
     "mask_to_config",
     "OracleDistribution",
@@ -41,24 +39,10 @@ __all__ = [
     "transition_probability_exact",
     "oracle_distribution",
     "particle_count_distribution",
-    "require_event",
     "conditional_event_probability",
     "EmpiricalDistribution",
     "simulate",
 ]
-
-HalfSpaceConfig = tuple  # strictly decreasing sites, all >= 1; () is empty
-
-
-def as_config(sites) -> HalfSpaceConfig:
-    """Validate and normalize a half-space configuration (decreasing sites)."""
-    c = tuple(int(s) for s in sites)
-    if any(s < 1 for s in c):
-        raise ValueError("sites must be >= 1")
-    if any(a <= b for a, b in zip(c, c[1:])):
-        raise ValueError("sites must be strictly decreasing")
-    return c
-
 
 def config_to_mask(config) -> int:
     mask = 0
@@ -67,7 +51,7 @@ def config_to_mask(config) -> int:
     return mask
 
 
-def mask_to_config(mask) -> HalfSpaceConfig:
+def mask_to_config(mask) -> tuple:
     sites = []
     s = 1
     m = int(mask)
@@ -210,7 +194,7 @@ class OracleDistribution:
     """Exact time-t distribution over the truncated state space (t = params.t)."""
 
     params: ModelParams
-    source: HalfSpaceConfig
+    source: tuple
     s_max: int
     probs: np.ndarray
     tail_bound: float
@@ -316,18 +300,6 @@ def particle_count_distribution(y, t, params: ModelParams, s_max=None):
     nz = np.flatnonzero(dist.probs)
     out = np.bincount(np.bitwise_count(nz), dist.probs[nz], minlength=dist.s_max + 1)
     return out, dist.tail_bound
-
-
-def require_event(labels, thresholds, n):
-    """Labels p_k in 1..n paired with thresholds a_k >= 0, as two lists (else ValueError)."""
-    labels, thresholds = list(labels), list(thresholds)
-    if len(labels) != len(thresholds):
-        raise ValueError("labels and thresholds must pair up")
-    if any(not 1 <= p <= n for p in labels):
-        raise ValueError("labels must lie in 1..N")
-    if any(a < 0 for a in thresholds):
-        raise ValueError("thresholds must be >= 0")
-    return labels, thresholds
 
 
 def conditional_event_probability(dist: OracleDistribution, n, labels, thresholds):

@@ -21,12 +21,12 @@ import numpy as np
 
 from .kernels import (
     ModelParams,
+    as_config,
     kernel_Q,
     kernel_U,
     kernel_Xi,
     kernel_p,
 )
-from .markov_oracle import as_config
 from .pfaffian import matching_sum, pfaffian
 
 __all__ = [

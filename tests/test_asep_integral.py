@@ -264,6 +264,14 @@ class TestTransitionQuadrature:
             ladder.append(ladder[-1] + (ladder[-1] + 1) // 2)
         assert ladder[:4] == [1, 2, 3, 5] and ladder[-1] == diag["nodes"]
 
+    def test_tol_outside_unit_interval_refused(self):
+        # at tol >= 1 any two passes agree, so a far-off first pass returned;
+        # at tol <= 0 or nan none do, and the ladder ran to its cap
+        p = ModelParams(q=0.3, alpha=0.5, gamma=0.0, t=1.0)
+        for tol in (math.inf, 1e300, 1.0, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                asep_transition_batch((), 1, [(1,)], 1.0, p, tol=tol)
+
     def test_doubling_returns_only_agreeing_passes(self):
         # a value is returned only when two passes agree, and then it must
         # match the oracle; at alpha = 2.46 the widest default family would

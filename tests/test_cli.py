@@ -453,6 +453,14 @@ class TestExitCodes:
         assert rc == 3
         assert "nodes" in capsys.readouterr().err
 
+    def test_asep_tol_outside_unit_interval_is_3(self, capsys):
+        for tol in ("inf", "1e300", "0", "-1", "nan"):
+            rc = main(
+                ["asep-prob", "--x", "5,3,1", "--alpha", "1", "--t", "5", "--q", "0", "--tol", tol]
+            )
+            assert rc == 3
+            assert "tol" in capsys.readouterr().err
+
     def test_gt_zmax_below_left_edge_is_3(self, capsys):
         rc = main(["gt-sum", "--x", "4,2,1", "--alpha", "0.5", "--t", "1", "--z-max", "3"])
         assert rc == 3

@@ -572,14 +572,35 @@ def _array_bytes(table):
     return table.pi.nbytes + sum(w.nbytes for w in items if isinstance(w, np.ndarray))
 
 
-def test_import_leaves_scipy_signal_out():
+_ORACLE_AND_VERIFY = ("scipy", "mpmath", "hsep.markov_oracle")
+# (statement, modules it must leave out of a fresh interpreter)
+_IMPORT_CASES = (
     # the kernel tables need no filter: importing scipy.signal alone costs
     # about a second and 50 MB, which every process start would pay
+    ("import hsep", ("scipy.signal",)),
+    # the exact layers and the CLI load numpy only: scipy.sparse comes with
+    # the oracle, mpmath with verify
+    (
+        "import hsep.kernels, hsep.pfaffian, hsep.tasep_formulas, hsep.conditional, "
+        "hsep.asep_integral, hsep.cli",
+        _ORACLE_AND_VERIFY,
+    ),
+    (
+        "from hsep.cli import main; "
+        "main(['tasep-prob', '--x', '3,1', '--alpha', '0.5', '--t', '1'])",
+        _ORACLE_AND_VERIFY,
+    ),
+)
+
+
+def test_import_leaves_scipy_signal_out():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import hsep, sys; print('scipy.signal' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for statement, left_out in _IMPORT_CASES:
+        report = f"import sys; print([m for m in {left_out!r} if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{statement}\n{report}"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]", statement

@@ -7,9 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from hsep.kernels import ModelParams, kernel_p
+from hsep.kernels import ModelParams, as_config, kernel_p
 from hsep.markov_oracle import (
-    as_config,
     config_to_mask,
     generator_row,
     mask_to_config,
